@@ -30,7 +30,7 @@ use crate::ordered::{LockRank, OrderedRwLock};
 use sec_store::fault;
 use sec_store::{FailurePattern, IoMetrics, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache};
+use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats};
 
 use crate::engine::{EngineMetrics, EnginePrefix, EngineRetrieval, NodeLiveness, SecEngine};
 use sec_erasure::ByteCodec;
@@ -433,13 +433,12 @@ impl SecCluster {
         // encode into a private engine with no map lock held.
         let archive = ByteVersionedArchive::with_codec(self.config, self.codec.clone())
             .map_err(StoreError::from)?;
-        // Each engine owns its cache but files entries under the object's
-        // id, so per-object statistics and capacities stay independent (the
-        // cluster's aggregate metrics sum them).
-        let engine = Arc::new(SecEngine::from_layout_with_cache(
+        // Each engine owns its cache, so per-object statistics and
+        // capacities stay independent (the cluster's aggregate metrics sum
+        // them).
+        let engine = Arc::new(SecEngine::from_empty_archive(
             archive,
-            Arc::new(DeltaCache::new(self.cache_capacity)),
-            id.0,
+            self.cache_capacity,
             self.placement,
             shard.liveness.as_ref().map(Arc::clone),
         ));
@@ -509,47 +508,17 @@ impl SecCluster {
         Ok(self.engine_of(id)?.get_version(l)?)
     }
 
-    /// Retrieves a batch of `(object, version)` requests, amortizing the
-    /// per-request routing work: consecutive requests for the same object
-    /// resolve the shard map **once** and run as one
-    /// [`SecEngine::get_versions`] call (one archive lock, one entry
-    /// snapshot, cache-primed within the run). This is what the network
-    /// server's pipelined `GET` dispatch calls.
+    /// Retrieves a batch of `(object, version)` requests: exactly a loop
+    /// over [`SecCluster::get_version`], one request at a time.
     ///
     /// Results come back in request order and are independent: an unknown
     /// object or invalid version fills its own slot with an `Err` without
-    /// failing the rest. Callers that interleave objects still get correct
-    /// answers — only the amortization degrades to per-request work.
+    /// failing the rest.
     pub fn get_batch(
         &self,
         requests: &[(ObjectId, usize)],
     ) -> Vec<Result<EngineRetrieval, ClusterError>> {
-        let mut results: Vec<Result<EngineRetrieval, ClusterError>> = Vec::with_capacity(requests.len());
-        let mut start = 0;
-        while start < requests.len() {
-            // audit: panic ok — `start < requests.len()` is the loop condition
-            let id = requests[start].0;
-            let mut end = start + 1;
-            while requests.get(end).is_some_and(|&(other, _)| other == id) {
-                end += 1;
-            }
-            // audit: panic ok — start..end indexes a run found within bounds above
-            let run = &requests[start..end];
-            match self.engine_of(id) {
-                Ok(engine) => {
-                    let versions: Vec<usize> = run.iter().map(|&(_, l)| l).collect();
-                    results.extend(
-                        engine
-                            .get_versions(&versions)
-                            .into_iter()
-                            .map(|r| r.map_err(ClusterError::from)),
-                    );
-                }
-                Err(e) => results.extend(run.iter().map(|_| Err(e.clone()))),
-            }
-            start = end;
-        }
-        results
+        requests.iter().map(|&(id, l)| self.get_version(id, l)).collect()
     }
 
     /// Retrieves the first `l` versions of object `id` in order.

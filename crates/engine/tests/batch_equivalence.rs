@@ -1,8 +1,7 @@
-//! Differential tests for the batch read entry points: `SecCluster::get_batch`
-//! and `SecEngine::get_versions` must return byte-identical data and the
-//! same per-request errors as a loop over the single-request calls, for
-//! every encoding strategy, with and without a delta cache, and under
-//! failures.
+//! Differential tests for the batch read entry point: `SecCluster::get_batch`
+//! must return byte-identical data and the same per-request errors as a loop
+//! over `SecCluster::get_version`, for every encoding strategy, with and
+//! without a delta cache, and under failures.
 
 use std::sync::Arc;
 

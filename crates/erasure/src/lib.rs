@@ -50,7 +50,6 @@ mod error;
 pub mod baseline;
 pub mod byte_shards;
 pub mod criteria;
-pub mod puncture;
 pub mod read_plan;
 pub mod shards;
 pub mod sparse;

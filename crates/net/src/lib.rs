@@ -15,9 +15,10 @@
 //! * [`server`] — the event-loop server: one reactor per worker thread,
 //!   shared accept with round-robin handoff, per-connection read/write
 //!   buffers with high/low-water backpressure, per-connection pipelining
-//!   with consecutive `GET`s dispatched as one
-//!   [`SecCluster::get_batch`](sec_engine::SecCluster::get_batch) call, and
-//!   graceful shutdown that drains in-flight requests.
+//!   (every parsed command runs in arrival order, each `GET` as one
+//!   [`SecCluster::get_version`](sec_engine::SecCluster::get_version) call,
+//!   replies flushed with one `write` per wakeup), and graceful shutdown
+//!   that drains in-flight requests.
 //! * [`client`] — a small blocking client speaking the same protocol, with
 //!   explicit pipelining.
 //! * [`load`] — a loopback load generator (closed-loop pipelining or

@@ -108,8 +108,7 @@ fn pipelined_batches_preserve_request_order() {
     let server = start_server(&cluster, 2);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
-    // A long mixed pipeline: GET runs (batched server-side) interleaved
-    // with PINGs that force batch boundaries.
+    // A long mixed pipeline: GET runs interleaved with PINGs.
     let mut commands = Vec::new();
     let mut expected: Vec<Option<(u64, usize)>> = Vec::new();
     for round in 0..50usize {
@@ -135,6 +134,49 @@ fn pipelined_batches_preserve_request_order() {
             None => assert_eq!(*reply, Reply::Simple("PONG".to_string())),
         }
     }
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn pipelined_get_sees_an_append_earlier_in_the_same_write() {
+    let cluster = test_cluster();
+    let versions = 3usize;
+    populate(&cluster, 2, versions, 64);
+    let server = start_server(&cluster, 1);
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    // One write: a GET of the not-yet-existing version, the APPEND that
+    // creates it, two GETs of it, then a PING. Commands run in arrival
+    // order, so the GETs after the APPEND must see the new version.
+    let object = ObjectId(1);
+    let next = versions + 1;
+    let appended = payload(1, next, 64);
+    let get = Command::Get {
+        object,
+        version: next,
+    };
+    let commands = [
+        get,
+        Command::Append {
+            object,
+            payload: &appended,
+        },
+        get,
+        get,
+        Command::Ping,
+    ];
+    let replies = client.pipeline(&commands).expect("pipeline");
+    assert_eq!(replies.len(), commands.len());
+    assert!(
+        matches!(replies[0], Reply::Error(_)),
+        "no such version yet: {:?}",
+        replies[0]
+    );
+    assert_eq!(replies[1], Reply::Int(next as u64));
+    assert_eq!(replies[2], Reply::Bulk(appended.clone()));
+    assert_eq!(replies[3], Reply::Bulk(appended));
+    assert_eq!(replies[4], Reply::Simple("PONG".to_string()));
 
     server.shutdown().expect("clean shutdown");
 }

@@ -6,7 +6,6 @@ use core::fmt;
 use sec_erasure::{CodeParams, GeneratorForm, SecCode};
 use sec_gf::GaloisField;
 
-use crate::cache::DeltaCache;
 use crate::delta::Delta;
 use crate::error::VersioningError;
 use crate::io_model::IoModel;
@@ -197,7 +196,6 @@ pub struct VersionedArchive<F> {
     /// paper's "cache a full copy of the latest version" rule, as state the
     /// append path *owns* rather than a cache entry it hopes survives).
     latest: Vec<F>,
-    cache: DeltaCache<Vec<F>>,
     sparsity: Vec<usize>,
     versions: usize,
     /// Consecutive deltas since the last stored full version.
@@ -220,7 +218,6 @@ impl<F: GaloisField> VersionedArchive<F> {
             entries: Vec::new(),
             latest_full: None,
             latest: Vec::new(),
-            cache: DeltaCache::new(1),
             sparsity: Vec::new(),
             versions: 0,
             delta_run: 0,
@@ -263,13 +260,6 @@ impl<F: GaloisField> VersionedArchive<F> {
     /// use and at least one version exists.
     pub fn latest_full_entry(&self) -> Option<&EncodedEntry<F>> {
         self.latest_full.as_ref()
-    }
-
-    /// Read access to the latest-version cache (its counters in particular).
-    /// A capacity-1 [`DeltaCache`] under object key 0: `peek_latest(0)`
-    /// exposes the cached newest version.
-    pub fn cache(&self) -> &DeltaCache<Vec<F>> {
-        &self.cache
     }
 
     /// Number of policy-forced checkpoint entries written so far (fulls the
@@ -398,7 +388,6 @@ impl<F: GaloisField> VersionedArchive<F> {
         }
 
         self.latest = version.to_vec();
-        self.cache.insert(0, id.0, version.to_vec());
         self.versions += 1;
         Ok(id)
     }
@@ -478,7 +467,6 @@ mod tests {
         );
         assert!(a.latest_full_entry().is_none());
         assert_eq!(a.stored_symbols(), 3 * 6);
-        assert_eq!(a.cache().peek_latest(0).unwrap().0, 3);
     }
 
     #[test]
