@@ -3,21 +3,20 @@
 //! profile {3, 8, 3, 6}, under Basic SEC, Optimized SEC and the
 //! non-differential baseline. The numbers are produced twice: analytically
 //! from the I/O model and operationally by building and reading an actual
-//! archive, to show they coincide.
+//! archive. The binary asserts that the two coincide.
 //!
 //! Run with `cargo run -p sec-bench --bin fig9`.
 
 use sec_bench::{ExperimentArgs, ResultTable};
 use sec_erasure::{CodeParams, GeneratorForm};
-use sec_gf::{GaloisField, Gf1024};
-use sec_versioning::{ArchiveConfig, EncodingStrategy, IoModel, VersionedArchive};
+use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, IoModel};
 
 const PROFILE: [usize; 4] = [3, 8, 3, 6];
 
-/// Builds a concrete version sequence realizing the paper's sparsity profile.
-fn paper_versions() -> Vec<Vec<Gf1024>> {
-    let k = 10usize;
-    let base: Vec<Gf1024> = (0..k as u64).map(|v| Gf1024::from_u64(v + 1)).collect();
+/// Builds a concrete version sequence realizing the paper's sparsity
+/// profile: ten one-byte blocks, so block sparsity is symbol sparsity.
+fn paper_versions() -> Vec<Vec<u8>> {
+    let base: Vec<u8> = (1..=10).collect();
     let mut versions = vec![base];
     let edits: [&[usize]; 4] = [
         &[0, 1, 2],
@@ -26,27 +25,23 @@ fn paper_versions() -> Vec<Vec<Gf1024>> {
         &[0, 2, 4, 6, 8, 9],
     ];
     for positions in edits {
-        let mut next = versions.last().expect("non-empty").clone();
+        let mut next = versions[versions.len() - 1].clone();
         for &p in positions {
-            next[p] += Gf1024::from_u64(700);
+            next[p] ^= 0xA5;
         }
         versions.push(next);
     }
     versions
 }
 
-fn operational_reads(strategy: EncodingStrategy, l: usize, prefix: bool) -> usize {
+/// A (20, 10) archive of the paper's history under `strategy`.
+fn paper_archive(strategy: EncodingStrategy) -> ByteVersionedArchive {
     let config = ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, strategy)
         .expect("valid (20,10) configuration");
-    let mut archive: VersionedArchive<Gf1024> =
-        VersionedArchive::new(config).expect("GF(1024) is large enough for (20,10)");
+    let mut archive = ByteVersionedArchive::new(config).expect("GF(256) is large enough for (20,10)");
     archive.append_all(&paper_versions()).expect("append succeeds");
     assert_eq!(archive.sparsity_profile(), PROFILE);
-    if prefix {
-        archive.retrieve_prefix(l).expect("retrieval succeeds").io_reads
-    } else {
-        archive.retrieve_version(l).expect("retrieval succeeds").io_reads
-    }
+    archive
 }
 
 fn main() -> std::io::Result<()> {
@@ -67,28 +62,39 @@ fn main() -> std::io::Result<()> {
             "non_diff_first_l",
             "basic_lth_measured",
             "optimized_lth_measured",
+            "basic_first_l_measured",
         ],
     );
+    let basic = paper_archive(EncodingStrategy::BasicSec);
+    let optimized = paper_archive(EncodingStrategy::OptimizedSec);
+    let measured = |archive: &ByteVersionedArchive, l| {
+        archive.retrieve_version(l).expect("retrieval succeeds").io_reads
+    };
     for l in 1..=5usize {
+        let basic_lth = model.version_reads(EncodingStrategy::BasicSec, &PROFILE, l);
+        let optimized_lth = model.version_reads(EncodingStrategy::OptimizedSec, &PROFILE, l);
+        let basic_first_l = model.prefix_reads(EncodingStrategy::BasicSec, &PROFILE, l);
+        let basic_lth_measured = measured(&basic, l);
+        let optimized_lth_measured = measured(&optimized, l);
+        let basic_first_l_measured = basic.retrieve_prefix(l).expect("retrieval succeeds").io_reads;
+        // The archive's reads must coincide with the model.
+        assert_eq!(basic_lth_measured, basic_lth, "basic version {l}");
+        assert_eq!(optimized_lth_measured, optimized_lth, "optimized version {l}");
+        assert_eq!(basic_first_l_measured, basic_first_l, "basic first {l}");
         table.push_row(vec![
             l.to_string(),
-            model
-                .version_reads(EncodingStrategy::BasicSec, &PROFILE, l)
-                .to_string(),
-            model
-                .version_reads(EncodingStrategy::OptimizedSec, &PROFILE, l)
-                .to_string(),
+            basic_lth.to_string(),
+            optimized_lth.to_string(),
             model
                 .version_reads(EncodingStrategy::NonDifferential, &PROFILE, l)
                 .to_string(),
-            model
-                .prefix_reads(EncodingStrategy::BasicSec, &PROFILE, l)
-                .to_string(),
+            basic_first_l.to_string(),
             model
                 .prefix_reads(EncodingStrategy::NonDifferential, &PROFILE, l)
                 .to_string(),
-            operational_reads(EncodingStrategy::BasicSec, l, false).to_string(),
-            operational_reads(EncodingStrategy::OptimizedSec, l, false).to_string(),
+            basic_lth_measured.to_string(),
+            optimized_lth_measured.to_string(),
+            basic_first_l_measured.to_string(),
         ]);
     }
     table.emit(&args)?;

@@ -1,15 +1,12 @@
-//! The byte-shard fast path of the storage simulator: a
-//! [`ByteDistributedStore`] whose nodes hold whole coded byte blocks and
-//! whose retrieval decodes through the batched `GF(2^8)` pipeline.
+//! The storage simulator: a [`ByteDistributedStore`] whose nodes hold whole
+//! coded byte blocks and whose retrieval decodes through the batched
+//! `GF(2^8)` pipeline.
 //!
-//! This is the production-shaped counterpart of the symbol-level
-//! [`DistributedStore`](crate::DistributedStore): each stored object of a
-//! [`ByteVersionedArchive`] contributes `n` coded blocks, block `i` lives on
-//! the node chosen by the [`Placement`], and a retrieval reads whole blocks
-//! from live nodes according to the SEC read plan (`2γ` block reads for an
-//! exploitable delta, `k` otherwise). Read counts are identical to the
-//! symbol-level model — one block read corresponds to one of the paper's
-//! disk I/O reads.
+//! Each stored object of a [`ByteVersionedArchive`] contributes `n` coded
+//! blocks, block `i` lives on the node chosen by the [`Placement`], and a
+//! retrieval reads whole blocks from live nodes according to the SEC read
+//! plan (`2γ` block reads for an exploitable delta, `k` otherwise). One
+//! block read corresponds to one of the paper's disk I/O reads.
 //!
 //! Corrupt blocks (wrong length) surface as [`StoreError::Code`] rather than
 //! aborting the simulation: the decode pipeline validates shard lengths up
@@ -21,11 +18,11 @@ use sec_erasure::{ByteCodec, ByteShards};
 use sec_versioning::walk::{decode_planned, read_target, walk_version};
 use sec_versioning::{ByteVersionedArchive, StoredPayload, VersioningError};
 
+use crate::error::StoreError;
 use crate::failure::FailurePattern;
 use crate::metrics::{AtomicIoMetrics, IoMetrics};
 use crate::node::{StorageNode, SymbolKey};
 use crate::placement::{Placement, PlacementStrategy};
-use crate::store::StoreError;
 
 /// Result of a failure-aware byte retrieval.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -353,8 +350,9 @@ impl ByteDistributedStore {
         self.nodes[node_id].wipe();
         let mut rebuilt = 0usize;
         for key in to_rebuild {
-            // Simulated mid-repair crash, as in `DistributedStore::repair_node`:
-            // a later retry must be able to finish the rebuild.
+            // Simulated mid-repair crash: the repair job dies between blocks,
+            // leaving the node partially rebuilt. Retrying the repair must
+            // finish the job (see sec-sim's torn-repair suite).
             if crate::fault::buggify("store::repair::abort") {
                 return Err(StoreError::Unrecoverable { entry: key.entry });
             }
@@ -412,6 +410,9 @@ impl ByteDistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sec_erasure::read_plan::ReadTarget;
     use sec_erasure::{CodeError, GeneratorForm};
     use sec_versioning::{ArchiveConfig, EncodingStrategy};
 
@@ -516,6 +517,58 @@ mod tests {
     }
 
     #[test]
+    fn sparse_deltas_survive_more_failures_than_full_objects() {
+        // With 4 failures (2 live nodes) the 1-sparse delta entry is still
+        // readable with 2 reads even though the full first version is lost —
+        // matching the paper's observation that individual deltas have higher
+        // static resilience (eq. 7 vs eq. 6).
+        let (archive, vs) = archive(EncodingStrategy::BasicSec);
+        let store = ByteDistributedStore::colocated(&archive);
+        for node in [0, 1, 3, 5] {
+            store.fail_node(node).unwrap();
+        }
+        assert!(!store.entry_recoverable(&archive, 0));
+        let live = store.live_positions(1);
+        assert_eq!(live.len(), 2);
+        // Entry 1 stores a 1-sparse delta; the two live blocks decode it.
+        let target = ReadTarget::Sparse { gamma: 1 };
+        let plan = plan_read(archive.code(), &live, target).unwrap();
+        assert_eq!(plan.io_reads, 2);
+        let block = |position| {
+            let key = SymbolKey { entry: 1, position };
+            store.node(position).unwrap().peek_stored(key).unwrap().as_slice()
+        };
+        let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, block(i))).collect();
+        let decoded = decode_planned(archive.codec(), plan.method, target, &shares).unwrap();
+        let delta: Vec<u8> = vs[1].iter().zip(&vs[0]).map(|(b, a)| b ^ a).collect();
+        assert_eq!(decoded.join(vs[0].len()), delta);
+        assert_eq!(decoded.weight(), 1);
+    }
+
+    #[test]
+    fn random_failures_and_pattern_application() {
+        let (archive, vs) = archive(EncodingStrategy::BasicSec);
+        let store = ByteDistributedStore::colocated(&archive);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pattern = store.fail_randomly(0.3, &mut rng);
+        assert_eq!(pattern.len(), 6);
+        for node in 0..6 {
+            assert_eq!(store.node(node).unwrap().is_alive(), !pattern.is_failed(node));
+        }
+        if store.archive_recoverable(&archive) {
+            assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
+        } else {
+            assert!(
+                store.retrieve_version(&archive, 1).is_err()
+                    || store.retrieve_version(&archive, 3).is_err()
+            );
+        }
+        // Reviving everything restores service.
+        store.apply_pattern(&FailurePattern::none(6));
+        assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
+    }
+
+    #[test]
     fn repair_rebuilds_lost_blocks() {
         let (archive, vs) = archive(EncodingStrategy::BasicSec);
         let mut store = ByteDistributedStore::colocated(&archive);
@@ -528,6 +581,12 @@ mod tests {
         store.fail_node(3).unwrap();
         assert!(store.archive_recoverable(&archive));
         assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
+        // With only two survivors (fewer than k) a repair cannot rebuild.
+        store.fail_node(4).unwrap();
+        assert!(matches!(
+            store.repair_node(&archive, 0),
+            Err(StoreError::Unrecoverable { .. })
+        ));
     }
 
     #[test]
@@ -557,6 +616,10 @@ mod tests {
             store.retrieve_version(&archive, 9),
             Err(StoreError::Versioning(VersioningError::NoSuchVersion { .. }))
         ));
+        let _ = store.retrieve_version(&archive, 1).unwrap();
+        assert!(store.metrics().symbol_reads > 0);
+        store.reset_metrics();
+        assert_eq!(store.metrics(), IoMetrics::default());
         let empty_config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let empty = ByteVersionedArchive::new(empty_config).unwrap();

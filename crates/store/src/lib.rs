@@ -8,36 +8,35 @@
 //! retrieval costs. This crate provides that substrate:
 //!
 //! * [`placement`] — colocated vs dispersed node assignment (§IV);
-//! * [`node`] / [`DistributedStore`] — in-memory storage nodes holding coded
-//!   symbols, with per-node read counters;
+//! * [`node`] — in-memory storage nodes holding coded blocks, with per-node
+//!   read counters;
 //! * [`failure`] — i.i.d. failure injection and exhaustive failure-pattern
 //!   enumeration for the small clusters of the paper's examples;
-//! * failure-aware retrieval that reads only from live nodes, falls back from
-//!   `2γ`-read sparse plans to `k`-read full plans exactly as §V describes,
-//!   and reports every read it performed;
-//! * [`byte_store`] / [`ByteDistributedStore`] — the byte-shard fast path:
-//!   nodes hold whole coded byte blocks and retrieval decodes through the
-//!   batched `GF(2^8)` pipeline, with identical read accounting.
+//! * [`byte_store`] / [`ByteDistributedStore`] — a single-threaded,
+//!   failure-aware store: nodes hold whole coded byte blocks, retrieval reads
+//!   only from live nodes, falls back from `2γ`-read sparse plans to `k`-read
+//!   full plans exactly as §V describes, and reports every read it performed.
+//!   It is the oracle the simulator and the engine's equivalence suites
+//!   compare the concurrent `SecEngine` against.
 //!
 //! # Example
 //!
 //! ```rust
 //! use sec_erasure::GeneratorForm;
-//! use sec_gf::{GaloisField, Gf1024};
-//! use sec_store::{DistributedStore, PlacementStrategy};
-//! use sec_versioning::{ArchiveConfig, EncodingStrategy, VersionedArchive};
+//! use sec_store::ByteDistributedStore;
+//! use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-//! let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config)?;
-//! let v1: Vec<Gf1024> = [1u64, 2, 3].iter().map(|&x| Gf1024::from_u64(x)).collect();
+//! let mut archive = ByteVersionedArchive::new(config)?;
+//! let v1 = vec![1u8, 2, 3];
 //! let mut v2 = v1.clone();
-//! v2[2] = Gf1024::from_u64(77);
-//! archive.append_all(&[v1.clone(), v2.clone()])?;
+//! v2[2] = 77;
+//! archive.append_all(&[v1, v2.clone()])?;
 //!
-//! let mut store = DistributedStore::colocated(&archive);
-//! store.fail_node(0).unwrap();
-//! store.fail_node(5).unwrap();
+//! let store = ByteDistributedStore::colocated(&archive);
+//! store.fail_node(0)?;
+//! store.fail_node(5)?;
 //! // Both versions survive two failures of the (6,3) MDS code.
 //! let retrieved = store.retrieve_version(&archive, 2)?;
 //! assert_eq!(retrieved.data, v2);
@@ -49,7 +48,7 @@
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-mod store;
+mod error;
 
 pub mod byte_store;
 pub mod failure;
@@ -59,8 +58,11 @@ pub mod node;
 pub mod placement;
 
 pub use byte_store::{ByteDistributedStore, ByteStoredRetrieval};
+pub use error::StoreError;
 pub use failure::FailurePattern;
 pub use metrics::{AtomicIoMetrics, IoMetrics};
 pub use node::StorageNode;
 pub use placement::{Placement, PlacementStrategy};
-pub use store::{DistributedStore, StoreError, StoredRetrieval};
+
+#[cfg(test)]
+mod store;

@@ -18,10 +18,9 @@ pub struct SymbolKey {
 /// One storage node: a failure flag plus the coded values it holds and a
 /// read counter.
 ///
-/// The stored value type is generic: the symbol-level [`DistributedStore`]
-/// (crate::DistributedStore) keeps one field element per key, while the
-/// byte-shard [`ByteDistributedStore`](crate::ByteDistributedStore) keeps a
-/// whole `Vec<u8>` shard per key.
+/// The stored value type is generic; the
+/// [`ByteDistributedStore`](crate::ByteDistributedStore) and `sec-engine`'s
+/// slabs both keep a whole `Vec<u8>` block per key.
 ///
 /// Everything a *read path* needs — the failure flag, the read counter, and
 /// value lookup — works through `&self`: the flag and counter are atomics, so

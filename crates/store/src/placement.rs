@@ -7,8 +7,8 @@
 //! * **Dispersed** — each stored object gets its own disjoint set of `n`
 //!   nodes, for `n·L` nodes in total.
 
+use crate::error::StoreError;
 use crate::node::SymbolKey;
-use crate::store::StoreError;
 
 /// Which placement strategy a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,15 +1,13 @@
-//! The [`VersionedArchive`]: appending versions under a chosen encoding
-//! strategy and holding the resulting encoded entries.
+//! The archive vocabulary shared by every read layer: the encoding
+//! strategies, the checkpoint policy, the archive configuration and what one
+//! stored entry represents.
 
 use core::fmt;
 
-use sec_erasure::{CodeParams, GeneratorForm, SecCode};
-use sec_gf::GaloisField;
+use sec_erasure::{CodeParams, GeneratorForm};
 
-use crate::delta::Delta;
 use crate::error::VersioningError;
 use crate::io_model::IoModel;
-use crate::object::VersionId;
 
 /// How successive versions are mapped to stored (erasure-coded) objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,271 +165,27 @@ impl StoredPayload {
     }
 }
 
-/// One erasure-coded stored object: its semantic payload and its `n` coded
-/// symbols.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedEntry<F> {
-    /// What the codeword encodes.
-    pub payload: StoredPayload,
-    /// The `n` coded symbols, indexed by node position within the entry's
-    /// node set.
-    pub codeword: Vec<F>,
-}
-
-/// A delta-based versioned archive encoded with SEC.
-///
-/// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
-pub struct VersionedArchive<F> {
-    config: ArchiveConfig,
-    code: SecCode<F>,
-    /// Stored objects in append order. For Basic/Optimized/NonDifferential the
-    /// entry at index `j` corresponds to version `j + 1`. For Reversed SEC the
-    /// entries are the deltas `z_2, …, z_L` (index `j` ↦ delta to version
-    /// `j + 2`) and the full latest copy lives in `latest_full`.
-    entries: Vec<EncodedEntry<F>>,
-    /// Reversed SEC only: the full encoding of the latest version.
-    latest_full: Option<EncodedEntry<F>>,
-    /// Plaintext of the latest version, kept for delta computation (the
-    /// paper's "cache a full copy of the latest version" rule, as state the
-    /// append path *owns* rather than a cache entry it hopes survives).
-    latest: Vec<F>,
-    sparsity: Vec<usize>,
-    versions: usize,
-    /// Consecutive deltas since the last stored full version.
-    delta_run: usize,
-    checkpoints_written: usize,
-}
-
-impl<F: GaloisField> VersionedArchive<F> {
-    /// Creates an empty archive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::Code`] when the configured code cannot be
-    /// built over `F` (field too small for the Cauchy construction).
-    pub fn new(config: ArchiveConfig) -> Result<Self, VersioningError> {
-        let code = SecCode::cauchy(config.params.n, config.params.k, config.form)?;
-        Ok(Self {
-            config,
-            code,
-            entries: Vec::new(),
-            latest_full: None,
-            latest: Vec::new(),
-            sparsity: Vec::new(),
-            versions: 0,
-            delta_run: 0,
-            checkpoints_written: 0,
-        })
-    }
-
-    /// The archive configuration.
-    pub fn config(&self) -> ArchiveConfig {
-        self.config
-    }
-
-    /// The underlying erasure code.
-    pub fn code(&self) -> &SecCode<F> {
-        &self.code
-    }
-
-    /// Number of versions appended so far (`L`).
-    pub fn len(&self) -> usize {
-        self.versions
-    }
-
-    /// `true` when no version has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.versions == 0
-    }
-
-    /// Sparsity profile `γ_2, …, γ_L` of the appended versions.
-    pub fn sparsity_profile(&self) -> &[usize] {
-        &self.sparsity
-    }
-
-    /// The stored entries, in append order (excluding the Reversed-SEC latest
-    /// full copy, exposed by [`VersionedArchive::latest_full_entry`]).
-    pub fn entries(&self) -> &[EncodedEntry<F>] {
-        &self.entries
-    }
-
-    /// Reversed-SEC full copy of the latest version, when that strategy is in
-    /// use and at least one version exists.
-    pub fn latest_full_entry(&self) -> Option<&EncodedEntry<F>> {
-        self.latest_full.as_ref()
-    }
-
-    /// Number of policy-forced checkpoint entries written so far (fulls the
-    /// Optimized threshold would not have stored on its own).
-    pub fn checkpoints_written(&self) -> usize {
-        self.checkpoints_written
-    }
-
-    /// Total number of stored coded symbols across all entries — the storage
-    /// footprint in symbols (every strategy stores `L · n` symbols; Reversed
-    /// SEC keeps the same count because the full copy replaces the delta-less
-    /// first entry).
-    pub fn stored_symbols(&self) -> usize {
-        self.entries.iter().map(|e| e.codeword.len()).sum::<usize>()
-            + self.latest_full.as_ref().map_or(0, |e| e.codeword.len())
-    }
-
-    /// Appends the next version, encoding it according to the configured
-    /// strategy, and returns its version id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::ObjectLengthMismatch`] when the version does
-    /// not have `k` symbols, or an encoding error from the code layer.
-    pub fn append_version(&mut self, version: &[F]) -> Result<VersionId, VersioningError> {
-        let k = self.config.params.k;
-        if version.len() != k {
-            return Err(VersioningError::ObjectLengthMismatch {
-                expected: k,
-                actual: version.len(),
-            });
-        }
-        let id = VersionId(self.versions + 1);
-
-        if self.versions == 0 {
-            // First version: every strategy stores it in full (Reversed keeps
-            // it as the `latest_full` copy instead of a delta entry).
-            let codeword = self.code.encode(version)?;
-            let entry = EncodedEntry {
-                payload: StoredPayload::FullVersion { version: id.0 },
-                codeword,
-            };
-            match self.config.strategy {
-                EncodingStrategy::ReversedSec => self.latest_full = Some(entry),
-                _ => self.entries.push(entry),
-            }
-        } else {
-            let delta = Delta::between(&self.latest, version)?;
-            let gamma = delta.sparsity();
-            self.sparsity.push(gamma);
-            // Anchor checkpoints: after `spacing` consecutive deltas the next
-            // Basic/Optimized append stores the full version instead.
-            let spacing = self.config.checkpoints.spacing;
-            let checkpoint_due = spacing > 0 && self.delta_run >= spacing;
-
-            match self.config.strategy {
-                EncodingStrategy::NonDifferential => {
-                    let codeword = self.code.encode(version)?;
-                    self.entries.push(EncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        codeword,
-                    });
-                }
-                EncodingStrategy::BasicSec => {
-                    if checkpoint_due {
-                        let codeword = self.code.encode(version)?;
-                        self.entries.push(EncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            codeword,
-                        });
-                        self.checkpoints_written += 1;
-                        self.delta_run = 0;
-                    } else {
-                        let codeword = self.code.encode(delta.data())?;
-                        self.entries.push(EncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            codeword,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::OptimizedSec => {
-                    let threshold_full = self.config.io_model().optimized_stores_full(gamma);
-                    if threshold_full || checkpoint_due {
-                        let codeword = self.code.encode(version)?;
-                        self.entries.push(EncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            codeword,
-                        });
-                        if !threshold_full {
-                            self.checkpoints_written += 1;
-                        }
-                        self.delta_run = 0;
-                    } else {
-                        let codeword = self.code.encode(delta.data())?;
-                        self.entries.push(EncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            codeword,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::ReversedSec => {
-                    // Store the delta and refresh the full latest copy.
-                    let codeword = self.code.encode(delta.data())?;
-                    self.entries.push(EncodedEntry {
-                        payload: StoredPayload::Delta {
-                            to: id.0,
-                            sparsity: gamma,
-                        },
-                        codeword,
-                    });
-                    let full = self.code.encode(version)?;
-                    self.latest_full = Some(EncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        codeword: full,
-                    });
-                }
-            }
-        }
-
-        self.latest = version.to_vec();
-        self.versions += 1;
-        Ok(id)
-    }
-
-    /// Appends every version of a sequence in order, returning the id of the
-    /// last one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first append error; versions appended before the error
-    /// remain in the archive.
-    pub fn append_all(&mut self, versions: &[Vec<F>]) -> Result<VersionId, VersioningError> {
-        let mut last = VersionId(self.versions.max(1));
-        for version in versions {
-            last = self.append_version(version)?;
-        }
-        if self.versions == 0 {
-            return Err(VersioningError::EmptyArchive);
-        }
-        Ok(last)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::Gf1024;
+    use crate::byte_archive::ByteVersionedArchive;
+    use sec_erasure::ByteShards;
 
-    fn obj(vals: &[u64]) -> Vec<Gf1024> {
-        vals.iter().map(|&v| Gf1024::from_u64(v)).collect()
-    }
-
-    fn archive(strategy: EncodingStrategy) -> VersionedArchive<Gf1024> {
+    /// A (6, 3) archive whose objects are three one-byte blocks, so block
+    /// sparsity is symbol sparsity.
+    fn archive(strategy: EncodingStrategy) -> ByteVersionedArchive {
         let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap();
-        VersionedArchive::new(config).unwrap()
+        ByteVersionedArchive::new(config).unwrap()
     }
 
-    fn three_versions() -> Vec<Vec<Gf1024>> {
-        let v1 = obj(&[10, 20, 30]);
+    /// v2 edits one symbol (γ2 = 1), v3 edits two (γ3 = 2 ≥ k/2 for k = 3).
+    fn three_versions() -> Vec<Vec<u8>> {
+        let v1 = vec![10u8, 20, 30];
         let mut v2 = v1.clone();
-        v2[1] = Gf1024::from_u64(500); // γ2 = 1
+        v2[1] = 244;
         let mut v3 = v2.clone();
-        v3[0] = Gf1024::from_u64(7);
-        v3[2] = Gf1024::from_u64(9); // γ3 = 2 (≥ k/2 for k = 3)
+        v3[0] = 7;
+        v3[2] = 9;
         vec![v1, v2, v3]
     }
 
@@ -443,10 +197,22 @@ mod tests {
         assert_eq!(config.form(), GeneratorForm::Systematic);
         assert_eq!(config.strategy(), EncodingStrategy::BasicSec);
         assert_eq!(config.io_model().full_object_reads(), 3);
+        assert!(!config.checkpoints().is_enabled());
+        let checkpointed = config.with_checkpoints(CheckpointPolicy::every(2));
+        assert!(checkpointed.checkpoints().is_enabled());
+        assert_eq!(checkpointed.checkpoints().spacing, 2);
         assert!(
             ArchiveConfig::new(3, 3, GeneratorForm::Systematic, EncodingStrategy::BasicSec).is_err()
         );
         assert_eq!(format!("{}", EncodingStrategy::OptimizedSec), "optimized-sec");
+    }
+
+    #[test]
+    fn payload_reads_use_io_model() {
+        let model = IoModel::new(CodeParams::new(20, 10).unwrap(), GeneratorForm::NonSystematic);
+        assert_eq!(StoredPayload::FullVersion { version: 1 }.reads(&model), 10);
+        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 3 }.reads(&model), 6);
+        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 8 }.reads(&model), 10);
     }
 
     #[test]
@@ -466,7 +232,8 @@ mod tests {
             ]
         );
         assert!(a.latest_full_entry().is_none());
-        assert_eq!(a.stored_symbols(), 3 * 6);
+        // L entries × n one-byte blocks.
+        assert_eq!(a.stored_bytes(), 3 * 6);
     }
 
     #[test]
@@ -475,12 +242,12 @@ mod tests {
             .unwrap()
             .with_checkpoints(CheckpointPolicy::every(2));
         assert!(config.checkpoints().is_enabled());
-        let mut a: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
+        let mut a = ByteVersionedArchive::new(config).unwrap();
         // Six versions differing by one symbol each: with spacing 2 the
         // layout is full, δ, δ, full(checkpoint), δ, δ.
-        let mut version = obj(&[10, 20, 30]);
-        for v in 1..=6u64 {
-            version[0] = Gf1024::from_u64(v);
+        let mut version = vec![10u8, 20, 30];
+        for v in 1..=6u8 {
+            version[0] = v;
             a.append_version(&version).unwrap();
         }
         let fulls: Vec<usize> = a
@@ -527,36 +294,31 @@ mod tests {
         ));
         let latest = a.latest_full_entry().unwrap();
         assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
-        // The full copy decodes to version 3.
-        let shares: Vec<(usize, Gf1024)> = latest.codeword.iter().copied().enumerate().take(3).collect();
-        assert_eq!(a.code().decode_full(&shares).unwrap(), versions[2]);
-        // Storage footprint is still L · n symbols.
-        assert_eq!(a.stored_symbols(), 3 * 6);
-    }
-
-    #[test]
-    fn non_differential_stores_every_version_fully() {
-        let mut a = archive(EncodingStrategy::NonDifferential);
-        a.append_all(&three_versions()).unwrap();
-        assert!(a
-            .entries()
-            .iter()
-            .all(|e| matches!(e.payload, StoredPayload::FullVersion { .. })));
-        // The sparsity profile is still tracked for reporting purposes.
-        assert_eq!(a.sparsity_profile(), &[1, 2]);
+        // The full copy decodes to version 3 from any k of its blocks.
+        let shares: Vec<(usize, &[u8])> = (3..6).map(|i| (i, latest.shards.shard(i))).collect();
+        let decoded = a.codec().decode_blocks(&shares).unwrap();
+        assert_eq!(decoded.join(3), versions[2]);
+        // Storage footprint is still L · n blocks.
+        assert_eq!(a.stored_bytes(), 3 * 6);
     }
 
     #[test]
     fn append_validates_object_length() {
         let mut a = archive(EncodingStrategy::BasicSec);
+        a.append_version(&[1, 2, 3]).unwrap();
         assert!(matches!(
-            a.append_version(&obj(&[1, 2])),
+            a.append_version(&[1, 2]),
             Err(VersioningError::ObjectLengthMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
-        assert!(matches!(a.append_all(&[]), Err(VersioningError::EmptyArchive)));
+        let empty: Vec<Vec<u8>> = Vec::new();
+        let mut fresh = archive(EncodingStrategy::BasicSec);
+        assert!(matches!(
+            fresh.append_all(&empty),
+            Err(VersioningError::EmptyArchive)
+        ));
     }
 
     #[test]
@@ -564,21 +326,18 @@ mod tests {
         let mut a = archive(EncodingStrategy::BasicSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        let delta_entry = &a.entries()[1];
-        let expected_delta: Vec<Gf1024> = versions[1]
-            .iter()
-            .zip(&versions[0])
-            .map(|(&b, &a)| b - a)
-            .collect();
-        let expected_codeword = a.code().encode(&expected_delta).unwrap();
-        assert_eq!(delta_entry.codeword, expected_codeword);
-    }
-
-    #[test]
-    fn payload_reads_use_io_model() {
-        let model = IoModel::new(CodeParams::new(20, 10).unwrap(), GeneratorForm::NonSystematic);
-        assert_eq!(StoredPayload::FullVersion { version: 1 }.reads(&model), 10);
-        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 3 }.reads(&model), 6);
-        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 8 }.reads(&model), 10);
+        for (idx, pair) in versions.windows(2).enumerate() {
+            let delta: Vec<u8> = pair[1].iter().zip(&pair[0]).map(|(b, a)| b ^ a).collect();
+            let expected = a
+                .codec()
+                .encode_blocks(&ByteShards::from_flat(&delta, 3))
+                .unwrap();
+            assert_eq!(a.entries()[idx + 1].shards, expected, "delta to v{}", idx + 2);
+            let version = a
+                .codec()
+                .encode_blocks(&ByteShards::from_flat(&pair[1], 3))
+                .unwrap();
+            assert_ne!(a.entries()[idx + 1].shards, version);
+        }
     }
 }

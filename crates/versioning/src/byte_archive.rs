@@ -1,17 +1,16 @@
-//! The byte-shard fast path of the versioning layer: a
-//! [`ByteVersionedArchive`] whose stored payloads are contiguous
-//! [`ByteShards`] encoded and retrieved through the batched `GF(2^8)`
-//! pipeline of `sec-erasure`.
+//! The archive of the versioning layer: a [`ByteVersionedArchive`] whose
+//! stored payloads are contiguous [`ByteShards`] encoded and retrieved
+//! through the batched `GF(2^8)` pipeline of `sec-erasure`.
 //!
-//! Where the generic [`VersionedArchive`](crate::VersionedArchive) models a
-//! version as `k` field symbols, this archive models it as an arbitrary byte
-//! object split into `k` equally sized blocks (shards). The delta between
-//! consecutive versions is computed bytewise and its sparsity level `γ` is
-//! counted *per block*: a block counts toward `γ` when any of its bytes
-//! changed. All of the paper's strategies (Basic / Optimized / Reversed SEC
-//! and the non-differential baseline) and read-count formulas carry over with
-//! "symbol" replaced by "block", so every entry stores `n` coded blocks and a
-//! `γ`-block-sparse delta is retrieved with `2γ` block reads.
+//! A version is an arbitrary byte object split into `k` equally sized blocks
+//! (shards). The delta between consecutive versions is computed bytewise and
+//! its sparsity level `γ` is counted *per block*: a block counts toward `γ`
+//! when any of its bytes changed. All of the paper's strategies (Basic /
+//! Optimized / Reversed SEC and the non-differential baseline) and
+//! read-count formulas carry over with "symbol" replaced by "block", so
+//! every entry stores `n` coded blocks and a `γ`-block-sparse delta is
+//! retrieved with `2γ` block reads. With one-byte blocks a version is
+//! exactly the paper's `k`-symbol object over `GF(2^8)`.
 //!
 //! # Example
 //!
@@ -524,6 +523,40 @@ mod tests {
         vec![v1, v2, v3]
     }
 
+    const STRATEGIES: [EncodingStrategy; 4] = [
+        EncodingStrategy::BasicSec,
+        EncodingStrategy::OptimizedSec,
+        EncodingStrategy::ReversedSec,
+        EncodingStrategy::NonDifferential,
+    ];
+
+    /// The §III-D history for a (20, 10) code: ten 4-byte blocks and block
+    /// sparsity profile {3, 8, 3, 6}.
+    fn paper_versions() -> Vec<Vec<u8>> {
+        let edits: [&[usize]; 4] = [
+            &[0, 1, 2],
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            &[3, 4, 5],
+            &[0, 2, 4, 6, 8, 9],
+        ];
+        let mut versions = vec![(1..=40).collect::<Vec<u8>>()];
+        for blocks in edits {
+            let mut next = versions[versions.len() - 1].clone();
+            for &block in blocks {
+                next[4 * block + 1] ^= 0x5a;
+            }
+            versions.push(next);
+        }
+        versions
+    }
+
+    fn paper_archive(strategy: EncodingStrategy, form: GeneratorForm) -> ByteVersionedArchive {
+        let config = ArchiveConfig::new(20, 10, form, strategy).unwrap();
+        let mut a = ByteVersionedArchive::new(config).unwrap();
+        a.append_all(&paper_versions()).unwrap();
+        a
+    }
+
     #[test]
     fn basic_sec_stores_full_then_deltas() {
         let mut a = archive(EncodingStrategy::BasicSec);
@@ -544,16 +577,19 @@ mod tests {
         assert!(a.latest_full_entry().is_none());
         // L entries × n blocks × 30 bytes.
         assert_eq!(a.stored_bytes(), 3 * 6 * 30);
+        // A delta entry encodes the delta, not the version.
+        let versions = three_versions();
+        let delta: Vec<u8> = versions[1].iter().zip(&versions[0]).map(|(b, a)| b ^ a).collect();
+        let expected = a
+            .codec()
+            .encode_blocks(&ByteShards::from_flat(&delta, 3))
+            .unwrap();
+        assert_eq!(a.entries()[1].shards, expected);
     }
 
     #[test]
     fn every_strategy_round_trips_every_version() {
-        for strategy in [
-            EncodingStrategy::BasicSec,
-            EncodingStrategy::OptimizedSec,
-            EncodingStrategy::ReversedSec,
-            EncodingStrategy::NonDifferential,
-        ] {
+        for strategy in STRATEGIES {
             for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
                 let config = ArchiveConfig::new(6, 3, form, strategy).unwrap();
                 let mut a = ByteVersionedArchive::new(config).unwrap();
@@ -584,6 +620,18 @@ mod tests {
                 StoredPayload::FullVersion { version: 3 },
             ]
         );
+    }
+
+    #[test]
+    fn non_differential_stores_every_version_fully() {
+        let mut a = archive(EncodingStrategy::NonDifferential);
+        a.append_all(&three_versions()).unwrap();
+        assert!(a
+            .entries()
+            .iter()
+            .all(|e| matches!(e.payload, StoredPayload::FullVersion { .. })));
+        // The sparsity profile is still tracked for reporting purposes.
+        assert_eq!(a.sparsity_profile(), &[1, 2]);
     }
 
     #[test]
@@ -618,6 +666,75 @@ mod tests {
         }
         // k + 2γ2 + min(2γ3, k) = 3 + 2 + 3.
         assert_eq!(a.retrieve_version(3).unwrap().io_reads, 8);
+
+        // The §III-D example: every strategy's version and prefix reads
+        // equal the model, which gives the paper's figures.
+        for strategy in STRATEGIES {
+            let a = paper_archive(strategy, GeneratorForm::NonSystematic);
+            assert_eq!(a.sparsity_profile(), &[3, 8, 3, 6]);
+            let model = a.config().io_model();
+            for l in 1..=5 {
+                assert_eq!(
+                    a.retrieve_version(l).unwrap().io_reads,
+                    model.version_reads(strategy, a.sparsity_profile(), l),
+                    "{strategy} version {l}"
+                );
+                assert_eq!(
+                    a.retrieve_prefix(l).unwrap().io_reads,
+                    model.prefix_reads(strategy, a.sparsity_profile(), l),
+                    "{strategy} prefix {l}"
+                );
+            }
+        }
+        let reads = |strategy, l| {
+            paper_archive(strategy, GeneratorForm::NonSystematic)
+                .retrieve_version(l)
+                .unwrap()
+                .io_reads
+        };
+        let basic: Vec<usize> = (1..=5).map(|l| reads(EncodingStrategy::BasicSec, l)).collect();
+        let optimized: Vec<usize> = (1..=5)
+            .map(|l| reads(EncodingStrategy::OptimizedSec, l))
+            .collect();
+        assert_eq!(basic, [10, 16, 26, 32, 42]);
+        assert_eq!(optimized, [10, 16, 10, 16, 10]);
+        assert_eq!(reads(EncodingStrategy::ReversedSec, 5), 10);
+        let nd = paper_archive(EncodingStrategy::NonDifferential, GeneratorForm::NonSystematic);
+        for l in 1..=5 {
+            assert_eq!(nd.retrieve_version(l).unwrap().io_reads, 10);
+            assert_eq!(nd.retrieve_prefix(l).unwrap().io_reads, 10 * l);
+        }
+        // All five versions: 42 reads with SEC against 50 without.
+        let basic_all = paper_archive(EncodingStrategy::BasicSec, GeneratorForm::NonSystematic);
+        assert_eq!(basic_all.retrieve_prefix(5).unwrap().io_reads, 42);
+    }
+
+    #[test]
+    fn systematic_form_gives_same_read_counts_for_rate_half() {
+        // Rate-1/2 code: systematic SEC exploits the same sparsity range as
+        // non-systematic (paper §III-C), so the I/O counts agree.
+        let sys = paper_archive(EncodingStrategy::BasicSec, GeneratorForm::Systematic);
+        let ns = paper_archive(EncodingStrategy::BasicSec, GeneratorForm::NonSystematic);
+        for l in 1..=5 {
+            assert_eq!(
+                sys.retrieve_version(l).unwrap().io_reads,
+                ns.retrieve_version(l).unwrap().io_reads,
+                "version {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn entries_read_counts() {
+        let basic = paper_archive(EncodingStrategy::BasicSec, GeneratorForm::NonSystematic);
+        assert_eq!(basic.retrieve_version(1).unwrap().entries_read, 1);
+        assert_eq!(basic.retrieve_version(3).unwrap().entries_read, 3);
+        assert_eq!(basic.retrieve_prefix(4).unwrap().entries_read, 4);
+        let rev = paper_archive(EncodingStrategy::ReversedSec, GeneratorForm::NonSystematic);
+        // Latest version: only the full copy is touched.
+        assert_eq!(rev.retrieve_version(5).unwrap().entries_read, 1);
+        // Version 1: full copy + all four deltas.
+        assert_eq!(rev.retrieve_version(1).unwrap().entries_read, 5);
     }
 
     #[test]
@@ -658,6 +775,10 @@ mod tests {
             empty.retrieve_version(1),
             Err(VersioningError::EmptyArchive)
         ));
+        assert!(matches!(
+            empty.retrieve_prefix(1),
+            Err(VersioningError::EmptyArchive)
+        ));
         let mut a = archive(EncodingStrategy::BasicSec);
         a.append_all(&three_versions()).unwrap();
         assert!(matches!(
@@ -671,39 +792,6 @@ mod tests {
             a.retrieve_version(4),
             Err(VersioningError::NoSuchVersion { requested: 4, .. })
         ));
-    }
-
-    #[test]
-    fn byte_archive_matches_generic_archive_read_counts() {
-        // The byte archive and the generic symbol archive must agree on I/O
-        // accounting when fed structurally identical version histories.
-        use crate::archive::VersionedArchive;
-        use sec_gf::{GaloisField, Gf256};
-
-        let config =
-            ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
-        let mut bytes_archive = ByteVersionedArchive::new(config).unwrap();
-        let mut symbol_archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-
-        // 3-byte objects: one byte per block, so block sparsity == symbol
-        // sparsity and the read counts must line up exactly.
-        let versions: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![1, 9, 3], vec![4, 9, 8]];
-        bytes_archive.append_all(&versions).unwrap();
-        for v in &versions {
-            let symbols: Vec<Gf256> = v.iter().map(|&b| Gf256::from_u64(u64::from(b))).collect();
-            symbol_archive.append_version(&symbols).unwrap();
-        }
-        assert_eq!(
-            bytes_archive.sparsity_profile(),
-            symbol_archive.sparsity_profile()
-        );
-        for l in 1..=3 {
-            let via_bytes = bytes_archive.retrieve_version(l).unwrap();
-            let via_symbols = symbol_archive.retrieve_version(l).unwrap();
-            assert_eq!(via_bytes.io_reads, via_symbols.io_reads, "version {l}");
-            let symbol_bytes: Vec<u8> = via_symbols.data.iter().map(|s| s.to_u64() as u8).collect();
-            assert_eq!(via_bytes.data, symbol_bytes, "version {l}");
-        }
     }
 
     #[test]

@@ -5,30 +5,49 @@
 use proptest::prelude::*;
 
 use sec_erasure::GeneratorForm;
-use sec_gf::{GaloisField, Gf256};
 
-use crate::archive::{ArchiveConfig, EncodingStrategy, VersionedArchive};
-use crate::delta::sparsity_profile;
+use crate::archive::{ArchiveConfig, EncodingStrategy};
+use crate::byte_archive::ByteVersionedArchive;
 
 const N: usize = 12;
 const K: usize = 6;
 
-/// Strategy producing a random version history: a base object plus a list of
-/// per-version edit sets (position, new value).
-fn history() -> impl Strategy<Value = Vec<Vec<Gf256>>> {
-    let base = prop::collection::vec((0u64..256).prop_map(Gf256::from_u64), K);
-    let edits = prop::collection::vec(prop::collection::vec((0usize..K, 1u64..256), 1..=K), 1..6);
-    (base, edits).prop_map(|(base, edits)| {
-        let mut versions = vec![base];
-        for edit_set in edits {
-            let mut next = versions.last().expect("non-empty").clone();
-            for (pos, val) in edit_set {
-                next[pos] += Gf256::from_u64(val);
+/// Strategy producing a random version history of `K`-block objects (blocks
+/// of 1–4 bytes): a base object plus a list of per-version edit sets
+/// (block, byte within the block, non-zero XOR mask).
+fn history() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    (1usize..=4).prop_flat_map(|block_len| {
+        let base = prop::collection::vec(0u8..=255, K * block_len);
+        let edit = (0usize..K, 0usize..block_len, 1u8..=255);
+        let edits = prop::collection::vec(prop::collection::vec(edit, 1..=K), 1..6);
+        (base, edits).prop_map(move |(base, edits)| {
+            let mut versions = vec![base];
+            for edit_set in edits {
+                let mut next = versions[versions.len() - 1].clone();
+                for (block, offset, mask) in edit_set {
+                    next[block * block_len + offset] ^= mask;
+                }
+                versions.push(next);
             }
-            versions.push(next);
-        }
-        versions
+            versions
+        })
     })
+}
+
+/// Number of blocks that differ between consecutive versions.
+fn sparsity_profile(versions: &[Vec<u8>]) -> Vec<usize> {
+    versions
+        .windows(2)
+        .map(|pair| {
+            let block_len = pair[0].len() / K;
+            (0..K)
+                .filter(|&b| {
+                    pair[0][b * block_len..(b + 1) * block_len]
+                        != pair[1][b * block_len..(b + 1) * block_len]
+                })
+                .count()
+        })
+        .collect()
 }
 
 fn all_strategies() -> [EncodingStrategy; 4] {
@@ -40,6 +59,13 @@ fn all_strategies() -> [EncodingStrategy; 4] {
     ]
 }
 
+fn build(strategy: EncodingStrategy, form: GeneratorForm, versions: &[Vec<u8>]) -> ByteVersionedArchive {
+    let config = ArchiveConfig::new(N, K, form, strategy).unwrap();
+    let mut archive = ByteVersionedArchive::new(config).unwrap();
+    archive.append_all(versions).unwrap();
+    archive
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -47,9 +73,7 @@ proptest! {
     fn every_strategy_round_trips_random_histories(versions in history()) {
         for strategy in all_strategies() {
             for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
-                let config = ArchiveConfig::new(N, K, form, strategy).unwrap();
-                let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-                archive.append_all(&versions).unwrap();
+                let archive = build(strategy, form, &versions);
                 prop_assert_eq!(archive.len(), versions.len());
                 for (l, expect) in versions.iter().enumerate() {
                     let r = archive.retrieve_version(l + 1).unwrap();
@@ -63,11 +87,9 @@ proptest! {
 
     #[test]
     fn archive_io_matches_io_model_and_beats_baseline(versions in history()) {
-        let profile = sparsity_profile(&versions).unwrap();
+        let profile = sparsity_profile(&versions);
         for strategy in [EncodingStrategy::BasicSec, EncodingStrategy::OptimizedSec] {
-            let config = ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, strategy).unwrap();
-            let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-            archive.append_all(&versions).unwrap();
+            let archive = build(strategy, GeneratorForm::NonSystematic, &versions);
             prop_assert_eq!(archive.sparsity_profile(), profile.as_slice());
             let model = archive.config().io_model();
             for l in 1..=versions.len() {
@@ -88,9 +110,7 @@ proptest! {
     fn sparsity_profile_is_strategy_independent(versions in history()) {
         let mut profiles = Vec::new();
         for strategy in all_strategies() {
-            let config = ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, strategy).unwrap();
-            let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-            archive.append_all(&versions).unwrap();
+            let archive = build(strategy, GeneratorForm::NonSystematic, &versions);
             profiles.push(archive.sparsity_profile().to_vec());
         }
         for pair in profiles.windows(2) {
@@ -100,11 +120,11 @@ proptest! {
 
     #[test]
     fn storage_footprint_is_l_times_n(versions in history()) {
+        let block_len = versions[0].len() / K;
         for strategy in all_strategies() {
-            let config = ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, strategy).unwrap();
-            let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-            archive.append_all(&versions).unwrap();
-            prop_assert_eq!(archive.stored_symbols(), versions.len() * N, "{}", strategy);
+            let archive = build(strategy, GeneratorForm::NonSystematic, &versions);
+            prop_assert_eq!(archive.stored_entry_count(), versions.len(), "{}", strategy);
+            prop_assert_eq!(archive.stored_bytes(), versions.len() * N * block_len, "{}", strategy);
         }
     }
 }

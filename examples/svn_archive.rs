@@ -8,9 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sec::gf::Gf256;
+use sec::gf::{GaloisField, Gf256};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
-use sec::{ArchiveConfig, DistributedStore, EncodingStrategy, GeneratorForm, VersionedArchive};
+use sec::{ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2015);
@@ -24,6 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.sparsity,
         (trace.exploitable_fraction() * 100.0) as u32
     );
+    // One byte per GF(2^8) symbol: block sparsity equals symbol sparsity.
+    let versions: Vec<Vec<u8>> = trace
+        .versions
+        .iter()
+        .map(|v| v.iter().map(|s| s.to_u64() as u8).collect())
+        .collect();
 
     // Archive the history under each strategy with a (32, 16) rate-1/2 code.
     for strategy in [
@@ -33,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EncodingStrategy::NonDifferential,
     ] {
         let config = ArchiveConfig::new(32, 16, GeneratorForm::Systematic, strategy)?;
-        let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-        archive.append_all(&trace.versions)?;
+        let mut archive = ByteVersionedArchive::new(config)?;
+        archive.append_all(&versions)?;
 
         let whole = archive.retrieve_prefix(archive.len())?;
         let latest = archive.retrieve_version(archive.len())?;
@@ -47,9 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Put the Basic SEC archive on a simulated cluster, kill a few nodes and
     // show that everything is still readable with the same I/O counts.
     let config = ArchiveConfig::new(32, 16, GeneratorForm::Systematic, EncodingStrategy::BasicSec)?;
-    let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-    archive.append_all(&trace.versions)?;
-    let mut store = DistributedStore::colocated(&archive);
+    let mut archive = ByteVersionedArchive::new(config)?;
+    archive.append_all(&versions)?;
+    let mut store = ByteDistributedStore::colocated(&archive);
     for node in [0, 7, 13, 21, 30] {
         store.fail_node(node).unwrap();
     }
@@ -62,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
     let recovered = store.retrieve_version(&archive, archive.len())?;
-    assert_eq!(&recovered.data, trace.versions.last().expect("non-empty trace"));
+    assert_eq!(&recovered.data, versions.last().expect("non-empty trace"));
     println!(
         "latest revision recovered from the degraded cluster with {} reads ({})",
         recovered.io_reads,
@@ -71,6 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Repair one of the failed nodes and report the rebuild cost.
     let rebuilt = store.repair_node(&archive, 7)?;
-    println!("repaired node 7: {rebuilt} symbols rebuilt");
+    println!("repaired node 7: {rebuilt} blocks rebuilt");
     Ok(())
 }

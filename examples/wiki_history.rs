@@ -9,9 +9,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sec::analysis::expected_io::{expected_joint_reads, joint_read_reduction_percent};
-use sec::gf::Gf256;
+use sec::gf::{GaloisField, Gf256};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
-use sec::{ArchiveConfig, EncodingStrategy, GeneratorForm, IoModel, SparsityPmf, VersionedArchive};
+use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm, IoModel, SparsityPmf};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 8usize;
@@ -49,8 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace: VersionTrace<Gf256> = VersionTrace::generate(&trace_config, &mut rng);
 
     let config = ArchiveConfig::new(n, k, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-    let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-    archive.append_all(&trace.versions)?;
+    let mut archive = ByteVersionedArchive::new(config)?;
+    // One byte per GF(2^8) symbol: block sparsity equals symbol sparsity.
+    for version in &trace.versions {
+        let bytes: Vec<u8> = version.iter().map(|s| s.to_u64() as u8).collect();
+        archive.append_version(&bytes)?;
+    }
 
     let measured = archive.retrieve_prefix(archive.len())?.io_reads;
     let baseline = archive.len() * k;

@@ -8,11 +8,11 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, polynomials, bulk kernels |
+//! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, bulk and SIMD kernels |
 //! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy/Vandermonde, criteria checks |
 //! | [`erasure`] | `sec-erasure` | systematic / non-systematic Cauchy MDS codes, sparse recovery, read planning |
-//! | [`versioning`] | `sec-versioning` | delta archives, Basic/Optimized/Reversed SEC, I/O model |
-//! | [`store`] | `sec-store` | simulated distributed storage, placement, failures, repair |
+//! | [`versioning`] | `sec-versioning` | the byte archive, Basic/Optimized/Reversed SEC, I/O model |
+//! | [`store`] | `sec-store` | failure-aware reference store, placement, failures, repair |
 //! | [`engine`] | `sec-engine` | concurrent serving layer: sharded locks, lock-free planning, delta cache |
 //! | [`analysis`] | `sec-analysis` | static resilience, availability, average-I/O, expected-I/O |
 //! | [`workload`] | `sec-workload` | sparsity PMFs and synthetic edit traces |
@@ -22,17 +22,17 @@
 //! # Quickstart
 //!
 //! ```rust
-//! use sec::{ArchiveConfig, EncodingStrategy, GeneratorForm, VersionedArchive};
-//! use sec::gf::{GaloisField, Gf1024};
+//! use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // A (6, 3) non-systematic SEC archive, as in the paper's running example.
+//! // A (6, 3) non-systematic SEC archive, as in the paper's running example:
+//! // each version is three blocks (here one byte each).
 //! let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-//! let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config)?;
+//! let mut archive = ByteVersionedArchive::new(config)?;
 //!
-//! let v1: Vec<Gf1024> = [3u64, 1, 4].iter().map(|&v| Gf1024::from_u64(v)).collect();
+//! let v1 = vec![3u8, 1, 4];
 //! let mut v2 = v1.clone();
-//! v2[1] = Gf1024::from_u64(59);
+//! v2[1] = 59;
 //! archive.append_all(&[v1, v2.clone()])?;
 //!
 //! let both = archive.retrieve_prefix(2)?;
@@ -57,9 +57,8 @@ pub use sec_workload as workload;
 
 pub use sec_engine::{ObjectId, SecCluster, SecEngine};
 pub use sec_erasure::{ByteCodec, ByteShards, CodeParams, DecodeScratch, GeneratorForm, SecCode};
-pub use sec_store::{ByteDistributedStore, DistributedStore, Placement, PlacementStrategy};
+pub use sec_store::{ByteDistributedStore, Placement, PlacementStrategy};
 pub use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, DeltaCache, EncodingStrategy, IoModel,
-    VersionedArchive,
 };
 pub use sec_workload::{SparsityPmf, ZipfPmf};
