@@ -40,7 +40,7 @@ fn paper_archive(strategy: EncodingStrategy) -> ByteVersionedArchive {
         .expect("valid (20,10) configuration");
     let mut archive = ByteVersionedArchive::new(config).expect("GF(256) is large enough for (20,10)");
     archive.append_all(&paper_versions()).expect("append succeeds");
-    assert_eq!(archive.sparsity_profile(), PROFILE);
+    assert_eq!(archive.chain().sparsity_profile(), PROFILE);
     archive
 }
 

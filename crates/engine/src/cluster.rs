@@ -30,7 +30,7 @@ use crate::ordered::{LockRank, OrderedRwLock};
 use sec_store::fault;
 use sec_store::{FailurePattern, IoMetrics, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats};
+use sec_versioning::{ArchiveConfig, CacheStats, VersionChain};
 
 use crate::engine::{EngineMetrics, EnginePrefix, EngineRetrieval, NodeLiveness, SecEngine};
 use sec_erasure::ByteCodec;
@@ -283,7 +283,7 @@ impl SecCluster {
         }
         // Build the one codec every per-object archive will share; routing a
         // new object then costs no table materialization at all.
-        let codec = ByteVersionedArchive::new(config)
+        let codec = VersionChain::new(config)
             .map_err(StoreError::from)?
             .codec()
             .clone();
@@ -431,13 +431,13 @@ impl SecCluster {
         }
         // First append (probably — confirmed under the write lock below):
         // encode into a private engine with no map lock held.
-        let archive = ByteVersionedArchive::with_codec(self.config, self.codec.clone())
-            .map_err(StoreError::from)?;
+        let chain =
+            VersionChain::with_codec(self.config, self.codec.clone()).map_err(StoreError::from)?;
         // Each engine owns its cache, so per-object statistics and
         // capacities stay independent (the cluster's aggregate metrics sum
         // them).
-        let engine = Arc::new(SecEngine::from_empty_archive(
-            archive,
+        let engine = Arc::new(SecEngine::from_empty_chain(
+            chain,
             self.cache_capacity,
             self.placement,
             shard.liveness.as_ref().map(Arc::clone),
@@ -653,8 +653,7 @@ impl SecCluster {
     ///
     /// **Overwrite semantics** (as [`SecEngine::apply_pattern`]): within the
     /// pattern's length the pattern *is* the shard's new liveness; nodes
-    /// beyond its length keep theirs. Use
-    /// [`SecCluster::apply_pattern_additive`] to layer failures.
+    /// beyond its length keep theirs.
     ///
     /// # Errors
     ///
@@ -667,27 +666,6 @@ impl SecCluster {
                 liveness.fail(idx);
             } else if idx < pattern.len() {
                 liveness.revive(idx);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fails every node the pattern marks failed on shard `shard`, leaving
-    /// all other nodes' liveness untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidShard`] for a bad shard index, or
-    /// [`ClusterError::PlacementMismatch`] under dispersed placement.
-    pub fn apply_pattern_additive(
-        &self,
-        shard: usize,
-        pattern: &FailurePattern,
-    ) -> Result<(), ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        for idx in 0..liveness.len() {
-            if pattern.is_failed(idx) {
-                liveness.fail(idx);
             }
         }
         Ok(())
@@ -932,9 +910,6 @@ mod tests {
         ));
         assert!(cluster.is_node_alive(1, 99).is_err());
         assert!(cluster.apply_pattern(9, &FailurePattern::none(N)).is_err());
-        assert!(cluster
-            .apply_pattern_additive(9, &FailurePattern::none(N))
-            .is_err());
         // Display impls cover the addressing errors.
         assert!(ClusterError::NoShards.to_string().contains("at least one"));
         assert!(cluster
@@ -1033,15 +1008,12 @@ mod tests {
     }
 
     #[test]
-    fn patterns_apply_per_shard_with_overwrite_and_additive_semantics() {
+    fn patterns_apply_per_shard_with_overwrite_semantics() {
         let cluster = cluster(2);
         cluster.fail_node(0, 4).unwrap();
-        // Additive keeps node 4 down; overwrite revives it.
-        cluster
-            .apply_pattern_additive(0, &FailurePattern::with_failures(N, &[1]))
-            .unwrap();
+        cluster.fail_node(0, 1).unwrap();
         assert!(!cluster.is_node_alive(0, 4).unwrap());
-        assert!(!cluster.is_node_alive(0, 1).unwrap());
+        // Overwrite revives node 4, which the pattern covers and marks alive.
         cluster
             .apply_pattern(0, &FailurePattern::with_failures(N, &[1]))
             .unwrap();
@@ -1125,9 +1097,6 @@ mod tests {
         assert!(cluster.revive_node(0, 0).is_err());
         assert!(cluster.repair_node(0, 0).is_err());
         assert!(cluster.apply_pattern(0, &FailurePattern::none(N)).is_err());
-        assert!(cluster
-            .apply_pattern_additive(0, &FailurePattern::none(N))
-            .is_err());
         assert!(cluster
             .fail_node(0, 0)
             .unwrap_err()

@@ -112,7 +112,7 @@ use sec_versioning::walk::{
     walk_version_from_base, walk_version_from_tail,
 };
 use sec_versioning::{
-    ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
+    ArchiveConfig, CacheStats, DeltaCache, EncodingStrategy, StoredPayload, VersionChain,
     VersioningError,
 };
 
@@ -209,11 +209,12 @@ impl NodeSlab {
 /// order (with the cluster object map innermost) lives in `audit.toml` and
 /// `docs/INVARIANTS.md`.
 ///
-/// 1. **Archive** (`OrderedRwLock<ByteVersionedArchive>`) — entry metadata
-///    (payloads, sparsity levels, shard lengths) and the plaintext tail used
-///    for delta computation. Readers take it shared just long enough to
-///    snapshot the entry metadata, then release it for the append-only
-///    strategies (Basic/Optimized/NonDifferential) — so an in-flight
+/// 1. **Archive** (`OrderedRwLock<VersionChain>`) — only the stored layout
+///    (entry payloads and the shared shard length), the plaintext tail used
+///    for delta computation and the version and checkpoint counters; every
+///    coded block lives on the storage nodes alone. Readers take it shared
+///    just long enough to snapshot the layout, then release it for the
+///    append-only strategies (Basic/Optimized/NonDifferential) — so an in-flight
 ///    `append_version` (which takes it exclusively) does not block the block
 ///    reads of concurrent retrievals. Reversed SEC rewrites its trailing
 ///    full-copy slot in place on append, so its readers hold the lock for
@@ -249,7 +250,7 @@ impl NodeSlab {
 /// the crash model, where data survives on disk).
 #[derive(Debug)]
 pub struct SecEngine {
-    archive: OrderedRwLock<ByteVersionedArchive>,
+    archive: OrderedRwLock<VersionChain>,
     codec: ByteCodec,
     placement: OrderedRwLock<Placement>,
     slabs: OrderedRwLock<Vec<NodeSlab>>,
@@ -300,27 +301,27 @@ impl SecEngine {
         placement: PlacementStrategy,
         cache_capacity: usize,
     ) -> Result<Self, StoreError> {
-        let archive = ByteVersionedArchive::new(config)?;
-        Ok(Self::from_empty_archive(archive, cache_capacity, placement, None))
+        let chain = VersionChain::new(config)?;
+        Ok(Self::from_empty_chain(chain, cache_capacity, placement, None))
     }
 
     /// The one constructor every other one funnels into: wraps an *empty*
-    /// archive with its placement, slab directory and an engine-owned delta
+    /// chain with its placement, slab directory and an engine-owned delta
     /// cache of `cache_capacity` versions.
     ///
     /// `shared_liveness` is the cluster hook (colocated only): every
     /// per-object engine of one shard shares the shard's liveness array, so
     /// failing a shard node is one atomic store observed by every
     /// co-hosted read planner. Dispersed engines own their node space.
-    pub(crate) fn from_empty_archive(
-        archive: ByteVersionedArchive,
+    pub(crate) fn from_empty_chain(
+        chain: VersionChain,
         cache_capacity: usize,
         strategy: PlacementStrategy,
         shared_liveness: Option<Arc<NodeLiveness>>,
     ) -> Self {
-        debug_assert!(archive.is_empty(), "engines are built over empty archives");
-        let n = archive.code().n();
-        let codec = archive.codec().clone();
+        debug_assert!(chain.is_empty(), "engines are built over empty chains");
+        let n = chain.config().params().n;
+        let codec = chain.codec().clone();
         let slabs = match strategy {
             PlacementStrategy::Colocated => {
                 let alive = shared_liveness.unwrap_or_else(|| Arc::new(NodeLiveness::new(n)));
@@ -336,7 +337,7 @@ impl SecEngine {
             }
         };
         Self {
-            archive: OrderedRwLock::new(LockRank::Archive, archive),
+            archive: OrderedRwLock::new(LockRank::Archive, chain),
             codec,
             placement: OrderedRwLock::new(LockRank::Placement, Placement::new(strategy, n, 0)),
             slabs: OrderedRwLock::new(LockRank::Directory, slabs),
@@ -465,8 +466,7 @@ impl SecEngine {
     /// the new liveness — covered nodes the pattern marks alive are revived
     /// even if they were failed before the call (so replaying a sequence of
     /// sampled patterns always leaves the cluster in the last pattern's
-    /// state). Nodes beyond the pattern's length keep their liveness. Use
-    /// [`SecEngine::apply_pattern_additive`] to layer failures instead.
+    /// state). Nodes beyond the pattern's length keep their liveness.
     pub fn apply_pattern(&self, pattern: &FailurePattern) {
         let slabs = self.slabs.read();
         let mut base = 0usize;
@@ -477,23 +477,6 @@ impl SecEngine {
                     slab.alive.fail(position);
                 } else if idx < pattern.len() {
                     slab.alive.revive(position);
-                }
-            }
-            base += slab.alive.len();
-        }
-    }
-
-    /// Fails every node the pattern marks failed and leaves all other nodes'
-    /// liveness untouched — the additive counterpart of
-    /// [`SecEngine::apply_pattern`], for tests and experiments that layer
-    /// patterns on top of already-injected failures.
-    pub fn apply_pattern_additive(&self, pattern: &FailurePattern) {
-        let slabs = self.slabs.read();
-        let mut base = 0usize;
-        for slab in slabs.iter() {
-            for position in 0..slab.alive.len() {
-                if pattern.is_failed(base + position) {
-                    slab.alive.fail(position);
                 }
             }
             base += slab.alive.len();
@@ -535,22 +518,16 @@ impl SecEngine {
     /// failure.
     pub fn append_version(&self, object: &[u8]) -> Result<VersionId, StoreError> {
         let mut archive = self.archive.write();
-        let stored_before = archive.stored_entry_count();
-        let id = archive.append_version(object)?;
-        // Reversed SEC rewrites the trailing full copy's slot (it becomes
-        // the new delta) in addition to appending; every other strategy only
-        // appends one entry. The rewritten slot keeps its node set — entry
-        // indices never move, so placement addressing stays stable.
-        let start = match archive.config().strategy() {
-            EncodingStrategy::ReversedSec => stored_before.saturating_sub(1),
-            _ => stored_before,
-        };
-        let entries = archive.stored_entries();
+        // The chain hands back the entries it stored from `first_slot` on (a
+        // rewritten Reversed-SEC slot keeps its node set — entry indices
+        // never move, so placement addressing stays stable); their blocks
+        // land on the nodes and nowhere else.
+        let (id, first_slot, written) = archive.append_version(object)?;
         // Admit the new entries into the placement (and their slabs into the
         // directory) before any block lands.
-        self.grow_to_entries(entries.len());
+        self.grow_to_entries(archive.layout().len());
         fault::reached("engine::append::slab_grown");
-        for (entry_idx, entry) in entries.iter().enumerate().skip(start) {
+        for (entry_idx, entry) in (first_slot..).zip(&written) {
             let slab = self.slab_for_entry(entry_idx);
             for position in 0..entry.shards.shard_count() {
                 let key = SymbolKey {
@@ -613,7 +590,7 @@ impl SecEngine {
     /// [`StoreError::Code`] for a corrupt block.
     pub fn get_version(&self, l: usize) -> Result<EngineRetrieval, StoreError> {
         let archive = self.read_archive();
-        check_version(&archive, l)?;
+        archive.check_version(l)?;
         self.metrics.add_retrieval();
         // Probe the cache only for a validated version, so an out-of-range
         // request can never register as a (phantom) cache miss. Each
@@ -638,13 +615,13 @@ impl SecEngine {
             }
             other => other,
         };
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
-        // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-        let payload_at = |idx: usize| entries[idx].0;
-        // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-        let read = |idx: usize| self.read_entry(idx, entries[idx].0, entries[idx].1);
+        let (strategy, object_len, shard_len, layout, _pin) = self.snapshot_entries(archive);
+        // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
+        let payload_at = |idx: usize| layout[idx];
+        // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
+        let read = |idx: usize| self.read_entry(idx, layout[idx], shard_len);
         let (out, base_used) = match base {
-            None => (walk_version(strategy, entries.len(), payload_at, l, read)?, false),
+            None => (walk_version(strategy, layout.len(), payload_at, l, read)?, false),
             Some((base_version, data)) => {
                 // Extend the cached neighbour: forward over the deltas
                 // `base_version + 1..=l` (Basic/Optimized), or backward from
@@ -657,7 +634,7 @@ impl SecEngine {
                     }
                     _ => walk_version_from_base(
                         strategy,
-                        entries.len(),
+                        layout.len(),
                         payload_at,
                         l,
                         base_version,
@@ -694,20 +671,20 @@ impl SecEngine {
     /// As for [`SecEngine::get_version`].
     pub fn get_prefix(&self, l: usize) -> Result<EnginePrefix, StoreError> {
         let archive = self.read_archive();
-        check_version(&archive, l)?;
+        archive.check_version(l)?;
         self.metrics.add_retrieval();
         if archive.config().strategy() == EncodingStrategy::ReversedSec {
             if let Some((tail_version, data)) = self.cache.nearest_at_least(l) {
                 let k = self.codec.code().k();
-                let (_, object_len, entries, _pin) = self.snapshot_entries(archive);
+                let (_, object_len, shard_len, layout, _pin) = self.snapshot_entries(archive);
                 let tail_shards = ByteShards::from_flat(&data, k);
                 let out = walk_prefix_from_tail(
                     l,
                     object_len,
                     tail_version,
                     tail_shards,
-                    // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                    |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
+                    // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
+                    |idx| self.read_entry(idx, layout[idx], shard_len),
                 )?;
                 let applied = out.entries_read as u64;
                 // audit: atomic ok — statistic
@@ -719,16 +696,16 @@ impl SecEngine {
                 });
             }
         }
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
+        let (strategy, object_len, shard_len, layout, _pin) = self.snapshot_entries(archive);
         let out = walk_prefix(
             strategy,
-            entries.len(),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
-            |idx| entries[idx].0,
+            layout.len(),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx| layout[idx],
             l,
             object_len,
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
-            |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx| self.read_entry(idx, layout[idx], shard_len),
         )?;
         Ok(EnginePrefix {
             versions: out.versions,
@@ -743,9 +720,9 @@ impl SecEngine {
         self.cache.clear();
     }
 
-    /// Snapshots the entry metadata a walk needs — `(payload, shard_len)`
-    /// per stored entry — and releases the archive read lock when the
-    /// strategy allows it.
+    /// Snapshots what a walk needs — the stored layout and the one shard
+    /// length every entry shares — and releases the archive read lock when
+    /// the strategy allows it.
     ///
     /// Basic/Optimized/NonDifferential archives are append-only: existing
     /// entries and their node blocks never change, so once the metadata is
@@ -757,25 +734,23 @@ impl SecEngine {
     #[allow(clippy::type_complexity)]
     fn snapshot_entries<'a>(
         &self,
-        archive: OrderedReadGuard<'a, ByteVersionedArchive>,
+        archive: OrderedReadGuard<'a, VersionChain>,
     ) -> (
         EncodingStrategy,
         usize,
-        Vec<(StoredPayload, usize)>,
-        Option<OrderedReadGuard<'a, ByteVersionedArchive>>,
+        usize,
+        Vec<StoredPayload>,
+        Option<OrderedReadGuard<'a, VersionChain>>,
     ) {
         let strategy = archive.config().strategy();
         let object_len = archive.object_len().unwrap_or(0);
-        let entries: Vec<(StoredPayload, usize)> = archive
-            .stored_entries()
-            .iter()
-            .map(|e| (e.payload, e.shards.shard_len()))
-            .collect();
+        let shard_len = archive.shard_len();
+        let layout = archive.layout().to_vec();
         let pin = match strategy {
             EncodingStrategy::ReversedSec => Some(archive),
             _ => None,
         };
-        (strategy, object_len, entries, pin)
+        (strategy, object_len, shard_len, layout, pin)
     }
 
     /// Repairs a node after data loss: rebuilds every block it should hold
@@ -835,9 +810,8 @@ impl SecEngine {
         let archive = self.archive.write();
         let k = self.codec.code().k();
         let n = self.codec.code().n();
-        let entries = archive.stored_entries();
         let hosted: Vec<usize> = match self.placement().strategy() {
-            PlacementStrategy::Colocated => (0..entries.len()).collect(),
+            PlacementStrategy::Colocated => (0..archive.layout().len()).collect(),
             PlacementStrategy::Dispersed => vec![slab_idx],
         };
         let mut staged: Vec<(SymbolKey, Vec<u8>)> = Vec::with_capacity(hosted.len());
@@ -956,7 +930,7 @@ impl SecEngine {
         }
     }
 
-    fn read_archive(&self) -> OrderedReadGuard<'_, ByteVersionedArchive> {
+    fn read_archive(&self) -> OrderedReadGuard<'_, VersionChain> {
         self.archive.read()
     }
 
@@ -1037,23 +1011,11 @@ fn lock_nodes<'a>(
         .collect()
 }
 
-fn check_version(archive: &ByteVersionedArchive, l: usize) -> Result<(), StoreError> {
-    if archive.is_empty() {
-        return Err(StoreError::Versioning(VersioningError::EmptyArchive));
-    }
-    if l == 0 || l > archive.len() {
-        return Err(StoreError::Versioning(VersioningError::NoSuchVersion {
-            requested: l,
-            available: archive.len(),
-        }));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
+    use sec_versioning::ByteVersionedArchive;
 
     fn config(strategy: EncodingStrategy) -> ArchiveConfig {
         ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap()
@@ -1405,9 +1367,11 @@ mod tests {
         )
         .unwrap();
         engine.append_all(&versions()).unwrap();
-        // Fail position 0 of every entry additively, then overwrite-revive
-        // entry 0's group only.
-        engine.apply_pattern_additive(&FailurePattern::with_failures(18, &[0, 6, 12]));
+        // Fail position 0 of every entry, then overwrite-revive entry 0's
+        // group only.
+        for node in [0, 6, 12] {
+            engine.fail_node(node).unwrap();
+        }
         assert!(!engine.is_node_alive(0).unwrap());
         assert!(!engine.is_node_alive(6).unwrap());
         assert!(!engine.is_node_alive(12).unwrap());

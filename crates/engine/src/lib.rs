@@ -6,10 +6,12 @@
 //! (`sec-erasure`, `sec-versioning`, `sec-store`) expose retrieval through
 //! `&self`, and this crate puts a long-lived engine on top of them:
 //!
-//! * [`SecEngine`] owns a `ByteVersionedArchive` behind an `RwLock` (shared
-//!   for reads, exclusive only for appends and repairs) plus one `RwLock`'d
-//!   storage node per codeword position — the *sharded lock* layout, so a
-//!   retrieval locks exactly the nodes its read plan touches;
+//! * [`SecEngine`] owns a block-free `VersionChain` behind an `RwLock`
+//!   (shared for reads, exclusive only for appends and repairs) — only the
+//!   stored layout, the plaintext tail and the counters — plus one
+//!   `RwLock`'d storage node per codeword position, which holds the only
+//!   copy of its blocks. This is the *sharded lock* layout, so a retrieval
+//!   locks exactly the nodes its read plan touches;
 //! * read planning is **lock-free**: node liveness lives in an array of
 //!   atomics outside the node locks, so planning a `2γ`-read sparse
 //!   retrieval never contends with in-flight block reads;

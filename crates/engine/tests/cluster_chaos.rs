@@ -87,7 +87,7 @@ fn readers_on_quiet_shards_stay_exact_while_other_shards_burn() {
         .map(|(i, &id)| {
             let mut reference = ByteVersionedArchive::new(config()).unwrap();
             reference.append_all(&versions(seed, i as u8)).unwrap();
-            let per_version = (1..=reference.len())
+            let per_version = (1..=reference.chain().len())
                 .map(|l| {
                     let r = reference.retrieve_version(l).unwrap();
                     (r.data, r.io_reads)

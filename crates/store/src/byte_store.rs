@@ -16,7 +16,7 @@ use rand::Rng;
 use sec_erasure::read_plan::plan_read;
 use sec_erasure::{ByteCodec, ByteShards};
 use sec_versioning::walk::{decode_planned, read_target, walk_version};
-use sec_versioning::{ByteVersionedArchive, StoredPayload, VersioningError};
+use sec_versioning::{ByteVersionedArchive, StoredPayload};
 
 use crate::error::StoreError;
 use crate::failure::FailurePattern;
@@ -56,15 +56,15 @@ impl ByteDistributedStore {
     /// every coded block to its node.
     pub fn new(archive: &ByteVersionedArchive, strategy: PlacementStrategy) -> Self {
         let entries = archive.stored_entries();
-        let placement = Placement::new(strategy, archive.code().n(), entries.len());
+        let placement = Placement::new(strategy, archive.chain().config().params().n, entries.len());
         let mut store = Self {
             // Share the archive's code and multiplication tables instead of
             // cloning the generator per store.
-            codec: archive.codec().clone(),
+            codec: archive.chain().codec().clone(),
             nodes: (0..placement.node_count()).map(StorageNode::new).collect(),
             placement,
             metrics: AtomicIoMetrics::new(),
-            object_len: archive.object_len().unwrap_or(0),
+            object_len: archive.chain().object_len().unwrap_or(0),
         };
         for (entry_idx, entry) in entries.iter().enumerate() {
             for position in 0..entry.shards.shard_count() {
@@ -147,26 +147,13 @@ impl ByteDistributedStore {
     /// **Overwrite semantics:** within the pattern's length the pattern *is*
     /// the new liveness — covered nodes that the pattern marks alive are
     /// revived even if they were failed before the call. Nodes beyond the
-    /// pattern's length are left untouched. Use
-    /// [`ByteDistributedStore::apply_pattern_additive`] to layer failures on
-    /// top of existing ones instead.
+    /// pattern's length are left untouched.
     pub fn apply_pattern(&self, pattern: &FailurePattern) {
         for (idx, node) in self.nodes.iter().enumerate() {
             if pattern.is_failed(idx) {
                 node.fail();
             } else if idx < pattern.len() {
                 node.revive();
-            }
-        }
-    }
-
-    /// Fails every node the pattern marks failed, leaving all other nodes'
-    /// liveness untouched — the additive counterpart of
-    /// [`ByteDistributedStore::apply_pattern`], for layering patterns.
-    pub fn apply_pattern_additive(&self, pattern: &FailurePattern) {
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if pattern.is_failed(idx) {
-                node.fail();
             }
         }
     }
@@ -207,7 +194,7 @@ impl ByteDistributedStore {
 
     /// Whether a single stored entry is still decodable from live nodes.
     pub fn entry_recoverable(&self, archive: &ByteVersionedArchive, entry: usize) -> bool {
-        self.live_positions(entry).len() >= archive.code().k()
+        self.live_positions(entry).len() >= archive.chain().config().params().k
     }
 
     /// Whether every stored object of the archive is recoverable.
@@ -285,19 +272,11 @@ impl ByteDistributedStore {
                 supplied: entries.len(),
             });
         }
-        if archive.is_empty() {
-            return Err(StoreError::Versioning(VersioningError::EmptyArchive));
-        }
-        if l == 0 || l > archive.len() {
-            return Err(StoreError::Versioning(VersioningError::NoSuchVersion {
-                requested: l,
-                available: archive.len(),
-            }));
-        }
+        archive.chain().check_version(l)?;
         self.metrics.add_retrieval();
 
         let out = walk_version(
-            archive.config().strategy(),
+            archive.chain().config().strategy(),
             entries.len(),
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
             |idx| entries[idx].payload,
@@ -414,7 +393,7 @@ mod tests {
     use rand::SeedableRng;
     use sec_erasure::read_plan::ReadTarget;
     use sec_erasure::{CodeError, GeneratorForm};
-    use sec_versioning::{ArchiveConfig, EncodingStrategy};
+    use sec_versioning::{ArchiveConfig, EncodingStrategy, VersioningError};
 
     fn versions() -> Vec<Vec<u8>> {
         let v1: Vec<u8> = (0..60).map(|i| (i * 11 + 3) as u8).collect();
@@ -454,18 +433,16 @@ mod tests {
     }
 
     #[test]
-    fn additive_patterns_layer_on_existing_failures() {
+    fn overwrite_patterns_revive_covered_nodes() {
         let (archive, _) = archive(EncodingStrategy::BasicSec);
         let store = ByteDistributedStore::colocated(&archive);
         store.fail_node(4).unwrap();
-        store.apply_pattern_additive(&FailurePattern::with_failures(6, &[1]));
-        assert!(!store.node(4).unwrap().is_alive(), "additive must not revive");
-        assert!(!store.node(1).unwrap().is_alive());
         store.apply_pattern(&FailurePattern::with_failures(6, &[1]));
         assert!(
             store.node(4).unwrap().is_alive(),
             "overwrite revives covered nodes"
         );
+        assert!(!store.node(1).unwrap().is_alive());
     }
 
     #[test]
@@ -532,14 +509,14 @@ mod tests {
         assert_eq!(live.len(), 2);
         // Entry 1 stores a 1-sparse delta; the two live blocks decode it.
         let target = ReadTarget::Sparse { gamma: 1 };
-        let plan = plan_read(archive.code(), &live, target).unwrap();
+        let plan = plan_read(archive.chain().codec().code(), &live, target).unwrap();
         assert_eq!(plan.io_reads, 2);
         let block = |position| {
             let key = SymbolKey { entry: 1, position };
             store.node(position).unwrap().peek_stored(key).unwrap().as_slice()
         };
         let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, block(i))).collect();
-        let decoded = decode_planned(archive.codec(), plan.method, target, &shares).unwrap();
+        let decoded = decode_planned(archive.chain().codec(), plan.method, target, &shares).unwrap();
         let delta: Vec<u8> = vs[1].iter().zip(&vs[0]).map(|(b, a)| b ^ a).collect();
         assert_eq!(decoded.join(vs[0].len()), delta);
         assert_eq!(decoded.weight(), 1);

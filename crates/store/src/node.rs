@@ -23,7 +23,8 @@ pub struct SymbolKey {
 /// slabs both keep a whole `Vec<u8>` block per key.
 ///
 /// Everything a *read path* needs — the failure flag, the read counter, and
-/// value lookup — works through `&self`: the flag and counter are atomics, so
+/// value lookup ([`StorageNode::touch`] + [`StorageNode::peek_stored`]) —
+/// works through `&self`: the flag and counter are atomics, so
 /// any number of readers can serve retrievals from a shared node while
 /// failure injection flips its liveness concurrently. Only operations that
 /// change the stored contents ([`StorageNode::put`], [`StorageNode::wipe`])
@@ -81,39 +82,6 @@ impl<V: Clone> StorageNode<V> {
         self.symbols.insert(key, value);
     }
 
-    /// Reads one coded value, counting the I/O, or `None` when the node is
-    /// dead or does not hold the value.
-    pub fn read(&self, key: SymbolKey) -> Option<V> {
-        // Simulated transient read failure: the node is up but this one
-        // request is lost, exactly like a live node missing a deadline.
-        if !self.is_alive() || fault::buggify("store::node::read") {
-            return None;
-        }
-        let value = self.symbols.get(&key).cloned();
-        if value.is_some() {
-            // audit: atomic ok — read counter is a statistic; no ordering dependency
-            self.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        value
-    }
-
-    /// Inspects a value without counting a read (used by repair planning).
-    pub fn peek(&self, key: SymbolKey) -> Option<V> {
-        self.peek_ref(key).cloned()
-    }
-
-    /// Borrowed view of a stored value without counting a read.
-    ///
-    /// Pair with [`StorageNode::touch`] when the value is large (e.g. a whole
-    /// byte block) and cloning it per simulated read would be wasteful.
-    pub fn peek_ref(&self, key: SymbolKey) -> Option<&V> {
-        if self.is_alive() {
-            self.symbols.get(&key)
-        } else {
-            None
-        }
-    }
-
     /// Borrowed view of a stored value regardless of liveness — the crash
     /// model's "blocks survive on disk" view.
     ///
@@ -125,10 +93,13 @@ impl<V: Clone> StorageNode<V> {
         self.symbols.get(&key)
     }
 
-    /// Counts one read against the node if it is alive and holds the value,
-    /// without cloning the value out; returns whether the read succeeded.
+    /// Admits one read: counts it against the node if it is alive and holds
+    /// the value, without cloning the value out, and returns whether the
+    /// read succeeded. Borrow the admitted value with
+    /// [`StorageNode::peek_stored`].
     pub fn touch(&self, key: SymbolKey) -> bool {
-        // Same simulated transient failure as `read`: admission fails, so
+        // Simulated transient read failure: the node is up but this one
+        // request is lost, exactly like a live node missing a deadline, so
         // callers fall back exactly as they would for a dead node.
         if !self.is_alive() || fault::buggify("store::node::read") {
             return false;
@@ -189,14 +160,14 @@ mod tests {
             entry: 0,
             position: 2,
         };
-        assert_eq!(node.read(key), None);
+        assert!(!node.touch(key));
         assert_eq!(node.reads(), 0);
         node.put(key, Gf256::from_u64(9));
         assert_eq!(node.stored_symbols(), 1);
-        assert_eq!(node.read(key), Some(Gf256::from_u64(9)));
+        assert!(node.touch(key));
         assert_eq!(node.reads(), 1);
-        assert_eq!(node.peek(key), Some(Gf256::from_u64(9)));
-        // Peek does not count.
+        assert_eq!(node.peek_stored(key), Some(&Gf256::from_u64(9)));
+        // Peeking does not count.
         assert_eq!(node.reads(), 1);
     }
 
@@ -210,12 +181,16 @@ mod tests {
         node.put(key, Gf256::ONE);
         node.fail();
         assert!(!node.is_alive());
-        assert_eq!(node.read(key), None);
-        assert_eq!(node.peek(key), None);
+        assert!(!node.touch(key));
+        assert_eq!(node.reads(), 0);
+        // The block survives on disk: a read admitted before the failure
+        // can still borrow it.
+        assert_eq!(node.peek_stored(key), Some(&Gf256::ONE));
         node.revive();
-        assert_eq!(node.read(key), Some(Gf256::ONE));
+        assert!(node.touch(key));
         node.wipe();
-        assert_eq!(node.read(key), None);
+        assert!(!node.touch(key));
+        assert_eq!(node.peek_stored(key), None);
         assert_eq!(node.stored_symbols(), 0);
     }
 
@@ -227,7 +202,7 @@ mod tests {
             position: 0,
         };
         node.put(key, Gf256::ONE);
-        let _ = node.read(key);
+        assert!(node.touch(key));
         let cloned = node.clone();
         assert_eq!(node, cloned);
         node.fail();

@@ -152,17 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn additive_patterns_layer_while_overwrite_replaces() {
+    fn overwrite_patterns_replace_existing_failures() {
         let (archive, _) = archive(EncodingStrategy::BasicSec);
         let store = ByteDistributedStore::colocated(&archive);
         store.fail_node(0).unwrap();
-        // Additive: node 0 stays failed even though the pattern marks it alive.
-        store.apply_pattern_additive(&FailurePattern::with_failures(6, &[2]));
-        assert!(!store.node(0).unwrap().is_alive());
-        assert!(!store.node(2).unwrap().is_alive());
-        assert!(store.node(1).unwrap().is_alive());
-        // Overwrite: the same pattern revives every covered node it marks alive.
+        // Overwrite: the pattern revives every covered node it marks alive.
         store.apply_pattern(&FailurePattern::with_failures(6, &[2]));
+        assert!(store.node(1).unwrap().is_alive());
         assert!(store.node(0).unwrap().is_alive());
         assert!(!store.node(2).unwrap().is_alive());
     }

@@ -218,11 +218,11 @@ mod tests {
     #[test]
     fn basic_sec_stores_full_then_deltas() {
         let mut a = archive(EncodingStrategy::BasicSec);
-        assert!(a.is_empty());
+        assert!(a.chain().is_empty());
         a.append_all(&three_versions()).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.sparsity_profile(), &[1, 2]);
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        assert_eq!(a.chain().len(), 3);
+        assert_eq!(a.chain().sparsity_profile(), &[1, 2]);
+        let payloads = a.chain().layout().to_vec();
         assert_eq!(
             payloads,
             vec![
@@ -231,7 +231,7 @@ mod tests {
                 StoredPayload::Delta { to: 3, sparsity: 2 },
             ]
         );
-        assert!(a.latest_full_entry().is_none());
+        assert_eq!(a.stored_entry_count(), 3);
         // L entries × n one-byte blocks.
         assert_eq!(a.stored_bytes(), 3 * 6);
     }
@@ -251,25 +251,26 @@ mod tests {
             a.append_version(&version).unwrap();
         }
         let fulls: Vec<usize> = a
-            .entries()
+            .chain()
+            .layout()
             .iter()
             .enumerate()
-            .filter(|(_, e)| matches!(e.payload, StoredPayload::FullVersion { .. }))
+            .filter(|(_, p)| matches!(p, StoredPayload::FullVersion { .. }))
             .map(|(idx, _)| idx)
             .collect();
         assert_eq!(fulls, vec![0, 3]);
-        assert_eq!(a.checkpoints_written(), 1);
+        assert_eq!(a.chain().checkpoints_written(), 1);
         // The disabled policy leaves the paper-exact layout untouched.
         let mut plain = archive(EncodingStrategy::BasicSec);
         plain.append_all(&three_versions()).unwrap();
-        assert_eq!(plain.checkpoints_written(), 0);
+        assert_eq!(plain.chain().checkpoints_written(), 0);
     }
 
     #[test]
     fn optimized_sec_stores_full_for_dense_deltas() {
         let mut a = archive(EncodingStrategy::OptimizedSec);
         a.append_all(&three_versions()).unwrap();
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        let payloads = a.chain().layout().to_vec();
         // γ3 = 2 ≥ k/2 = 1.5 → version 3 stored in full.
         assert_eq!(
             payloads,
@@ -286,17 +287,18 @@ mod tests {
         let mut a = archive(EncodingStrategy::ReversedSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        // Entries are the two deltas; latest_full encodes version 3.
-        assert_eq!(a.entries().len(), 2);
+        // The two deltas, then the full copy of version 3 as the last entry.
+        let entries = a.stored_entries();
+        assert_eq!(entries.len(), 3);
         assert!(matches!(
-            a.entries()[0].payload,
+            entries[0].payload,
             StoredPayload::Delta { to: 2, sparsity: 1 }
         ));
-        let latest = a.latest_full_entry().unwrap();
+        let latest = entries[2];
         assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
         // The full copy decodes to version 3 from any k of its blocks.
         let shares: Vec<(usize, &[u8])> = (3..6).map(|i| (i, latest.shards.shard(i))).collect();
-        let decoded = a.codec().decode_blocks(&shares).unwrap();
+        let decoded = a.chain().codec().decode_blocks(&shares).unwrap();
         assert_eq!(decoded.join(3), versions[2]);
         // Storage footprint is still L · n blocks.
         assert_eq!(a.stored_bytes(), 3 * 6);
@@ -329,15 +331,22 @@ mod tests {
         for (idx, pair) in versions.windows(2).enumerate() {
             let delta: Vec<u8> = pair[1].iter().zip(&pair[0]).map(|(b, a)| b ^ a).collect();
             let expected = a
+                .chain()
                 .codec()
                 .encode_blocks(&ByteShards::from_flat(&delta, 3))
                 .unwrap();
-            assert_eq!(a.entries()[idx + 1].shards, expected, "delta to v{}", idx + 2);
+            assert_eq!(
+                a.stored_entries()[idx + 1].shards,
+                expected,
+                "delta to v{}",
+                idx + 2
+            );
             let version = a
+                .chain()
                 .codec()
                 .encode_blocks(&ByteShards::from_flat(&pair[1], 3))
                 .unwrap();
-            assert_ne!(a.entries()[idx + 1].shards, version);
+            assert_ne!(a.stored_entries()[idx + 1].shards, version);
         }
     }
 }

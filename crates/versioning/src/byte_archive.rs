@@ -1,6 +1,9 @@
-//! The archive of the versioning layer: a [`ByteVersionedArchive`] whose
-//! stored payloads are contiguous [`ByteShards`] encoded and retrieved
-//! through the batched `GF(2^8)` pipeline of `sec-erasure`.
+//! The archive of the versioning layer, in two halves: a block-free
+//! [`VersionChain`] that holds the append policy and the stored layout, and
+//! the [`ByteVersionedArchive`] that adds the in-memory coded blocks of every
+//! entry, encoded and retrieved through the batched `GF(2^8)` pipeline of
+//! `sec-erasure`. `sec-engine` holds only the chain and keeps the blocks on
+//! its storage nodes.
 //!
 //! A version is an arbitrary byte object split into `k` equally sized blocks
 //! (shards). The delta between consecutive versions is computed bytewise and
@@ -42,7 +45,7 @@ use sec_erasure::{ByteCodec, ByteShards, SecCode};
 use crate::archive::{ArchiveConfig, EncodingStrategy, StoredPayload};
 use crate::error::VersioningError;
 use crate::object::VersionId;
-use crate::walk::{decode_planned, read_target, walk_prefix, walk_version};
+use crate::walk::{decode_planned, read_target, trim_object, walk_prefix, walk_version};
 
 /// One stored, erasure-coded byte object: its semantic payload and its `n`
 /// coded blocks.
@@ -78,32 +81,35 @@ pub struct BytePrefixRetrieval {
     pub entries_read: usize,
 }
 
-/// A delta-based versioned archive over byte objects, encoded with SEC
-/// through the batched byte-shard pipeline.
+/// The block-free half of an archive: the append policy of the configured
+/// [`EncodingStrategy`] and the stored layout it produces, without keeping
+/// any coded block.
 ///
-/// Every retrieval method takes `&self`: the codec is shared-read (its
-/// decode scratch is per-thread), so any number of readers can retrieve
-/// versions from one archive concurrently while appends keep the usual
-/// exclusive borrow.
+/// [`VersionChain::append_version`] encodes the entries a new version adds
+/// and hands them to the caller, which stores them where it likes — in
+/// memory ([`ByteVersionedArchive`]) or on storage nodes (`sec-engine`).
+/// The chain keeps only what the next append and every read plan need: the
+/// walk-order layout of [`StoredPayload`]s, the plaintext of the latest
+/// version (the base of the next delta), the sparsity profile and the
+/// checkpoint counters.
 #[derive(Debug)]
-pub struct ByteVersionedArchive {
+pub struct VersionChain {
     config: ArchiveConfig,
     codec: ByteCodec,
     /// Fixed byte length of every version, set by the first append.
     object_len: Option<usize>,
-    entries: Vec<ByteEncodedEntry>,
-    latest_full: Option<ByteEncodedEntry>,
+    /// Every stored entry's payload in walk order ([`crate::walk`]).
+    layout: Vec<StoredPayload>,
     /// Plaintext copy of the latest version for delta computation.
     latest_version: Vec<u8>,
     sparsity: Vec<usize>,
-    versions: usize,
     /// Consecutive deltas since the last stored full version.
     delta_run: usize,
     checkpoints_written: usize,
 }
 
-impl ByteVersionedArchive {
-    /// Creates an empty byte archive over `GF(2^8)`.
+impl VersionChain {
+    /// Creates an empty chain over `GF(2^8)`.
     ///
     /// # Errors
     ///
@@ -114,14 +120,14 @@ impl ByteVersionedArchive {
         Self::with_codec(config, ByteCodec::new(code))
     }
 
-    /// Creates an empty byte archive that reuses an existing codec instead of
+    /// Creates an empty chain that reuses an existing codec instead of
     /// building one.
     ///
     /// [`ByteCodec`] is `Clone`-cheap (its code and multiplication tables sit
-    /// behind `Arc`s), so a fleet of archives over the same `(n, k)` code —
-    /// e.g. the per-object archives of a sharded cluster — can share one set
+    /// behind `Arc`s), so a fleet of chains over the same `(n, k)` code —
+    /// e.g. the per-object chains of a sharded cluster — can share one set
     /// of `GF(2^8)` tables per process instead of materializing `n·k` cached
-    /// coefficient tables per archive.
+    /// coefficient tables per chain.
     ///
     /// # Errors
     ///
@@ -138,11 +144,9 @@ impl ByteVersionedArchive {
             config,
             codec,
             object_len: None,
-            entries: Vec::new(),
-            latest_full: None,
+            layout: Vec::new(),
             latest_version: Vec::new(),
             sparsity: Vec::new(),
-            versions: 0,
             delta_run: 0,
             checkpoints_written: 0,
         })
@@ -153,35 +157,25 @@ impl ByteVersionedArchive {
         self.config
     }
 
-    /// The underlying erasure code.
-    pub fn code(&self) -> &SecCode<sec_gf::Gf256> {
-        self.codec.code()
-    }
-
-    /// The archive's batched codec. Cloning it is cheap and shares the code
+    /// The chain's batched codec. Cloning it is cheap and shares the code
     /// and multiplication tables, which is how `sec-store` and `sec-engine`
     /// avoid rebuilding them per store.
     pub fn codec(&self) -> &ByteCodec {
         &self.codec
     }
 
-    /// Shared handle to the underlying code (no clone of the generator).
-    pub fn shared_code(&self) -> std::sync::Arc<SecCode<sec_gf::Gf256>> {
-        self.codec.shared_code()
-    }
-
     /// Number of versions appended so far (`L`).
     pub fn len(&self) -> usize {
-        self.versions
+        self.object_len.map_or(0, |_| self.sparsity.len() + 1)
     }
 
     /// `true` when no version has been appended.
     pub fn is_empty(&self) -> bool {
-        self.versions == 0
+        self.object_len.is_none()
     }
 
     /// Byte length every version must have, fixed by the first append
-    /// (`None` while the archive is empty).
+    /// (`None` while the chain is empty).
     pub fn object_len(&self) -> Option<usize> {
         self.object_len
     }
@@ -198,41 +192,58 @@ impl ByteVersionedArchive {
         self.checkpoints_written
     }
 
-    /// The stored entries, in append order (excluding the Reversed-SEC latest
-    /// full copy, exposed by [`ByteVersionedArchive::latest_full_entry`]).
-    pub fn entries(&self) -> &[ByteEncodedEntry] {
-        &self.entries
+    /// Every stored entry's payload in the walk order shared by every read
+    /// layer ([`crate::walk`]): append-order entries, with the Reversed-SEC
+    /// full latest copy as the final element.
+    pub fn layout(&self) -> &[StoredPayload] {
+        &self.layout
     }
 
-    /// Reversed-SEC full copy of the latest version, when that strategy is in
-    /// use and at least one version exists.
-    pub fn latest_full_entry(&self) -> Option<&ByteEncodedEntry> {
-        self.latest_full.as_ref()
+    /// Byte length of every coded block (`⌈object_len / k⌉`, 0 while the
+    /// chain is empty).
+    pub fn shard_len(&self) -> usize {
+        self.object_len
+            .map_or(0, |len| len.div_ceil(self.config.params().k))
     }
 
-    /// Number of stored objects ([`ByteVersionedArchive::stored_entries`]
-    /// without materializing the list).
-    pub fn stored_entry_count(&self) -> usize {
-        self.entries.len() + usize::from(self.latest_full.is_some())
+    /// Checks that version `l` (1-based) exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VersioningError::EmptyArchive`] when nothing has been
+    /// appended, or [`VersioningError::NoSuchVersion`] for an out-of-range
+    /// `l`.
+    pub fn check_version(&self, l: usize) -> Result<(), VersioningError> {
+        if self.is_empty() {
+            return Err(VersioningError::EmptyArchive);
+        }
+        if l == 0 || l > self.len() {
+            return Err(VersioningError::NoSuchVersion {
+                requested: l,
+                available: self.len(),
+            });
+        }
+        Ok(())
     }
 
-    /// Total number of stored coded bytes across all entries — the storage
-    /// footprint.
-    pub fn stored_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.shards.total_len()).sum::<usize>()
-            + self.latest_full.as_ref().map_or(0, |e| e.shards.total_len())
-    }
-
-    /// Appends the next version, encoding it according to the configured
-    /// strategy, and returns its version id.
+    /// Appends the next version under the configured strategy and returns
+    /// its id, the first walk-order slot written, and the encoded entries
+    /// stored from that slot on. The caller drops whatever it stored at or
+    /// after that slot and stores the returned entries in their place.
+    ///
+    /// Reversed SEC writes two entries: the new delta takes the old full
+    /// copy's slot and the new full copy follows it. Every other strategy
+    /// writes one entry at the end of the layout.
     ///
     /// # Errors
     ///
     /// Returns [`VersioningError::ObjectLengthMismatch`] when the version's
     /// byte length differs from the first version's, or an encoding error
-    /// from the code layer.
-    pub fn append_version(&mut self, object: &[u8]) -> Result<VersionId, VersioningError> {
-        let k = self.config.params().k;
+    /// from the code layer. A failed append leaves the chain unchanged.
+    pub fn append_version(
+        &mut self,
+        object: &[u8],
+    ) -> Result<(VersionId, usize, Vec<ByteEncodedEntry>), VersioningError> {
         if let Some(expected) = self.object_len {
             if object.len() != expected {
                 return Err(VersioningError::ObjectLengthMismatch {
@@ -240,108 +251,134 @@ impl ByteVersionedArchive {
                     actual: object.len(),
                 });
             }
-        } else {
-            self.object_len = Some(object.len());
         }
-        let id = VersionId(self.versions + 1);
-
-        if self.versions == 0 {
-            let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-            let entry = ByteEncodedEntry {
-                payload: StoredPayload::FullVersion { version: id.0 },
-                shards,
-            };
-            match self.config.strategy() {
-                EncodingStrategy::ReversedSec => self.latest_full = Some(entry),
-                _ => self.entries.push(entry),
-            }
-        } else {
-            // Bytewise delta against the cached previous version; γ counted
-            // per block.
+        let k = self.config.params().k;
+        let strategy = self.config.strategy();
+        let id = VersionId(self.len() + 1);
+        // Bytewise delta against the previous version; γ counted per block.
+        let delta = (!self.is_empty()).then(|| {
             let mut delta_bytes = object.to_vec();
             sec_gf::bulk8::xor_accumulate(&mut delta_bytes, &[&self.latest_version]);
-            let delta = ByteShards::from_flat(&delta_bytes, k);
-            let gamma = delta.weight();
-            self.sparsity.push(gamma);
-            // Anchor checkpoints: after `spacing` consecutive deltas the next
-            // Basic/Optimized append stores the full version instead, bounding
-            // every forward walk to at most `spacing` delta applications.
-            let spacing = self.config.checkpoints().spacing;
-            let checkpoint_due = spacing > 0 && self.delta_run >= spacing;
-
-            match self.config.strategy() {
-                EncodingStrategy::NonDifferential => {
-                    let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                    self.entries.push(ByteEncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        shards,
-                    });
-                }
-                EncodingStrategy::BasicSec => {
-                    if checkpoint_due {
-                        let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            shards,
-                        });
-                        self.checkpoints_written += 1;
-                        self.delta_run = 0;
-                    } else {
-                        let shards = self.codec.encode_blocks(&delta)?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            shards,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::OptimizedSec => {
-                    let threshold_full = self.config.io_model().optimized_stores_full(gamma);
-                    if threshold_full || checkpoint_due {
-                        let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            shards,
-                        });
-                        if !threshold_full {
-                            self.checkpoints_written += 1;
-                        }
-                        self.delta_run = 0;
-                    } else {
-                        let shards = self.codec.encode_blocks(&delta)?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            shards,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::ReversedSec => {
-                    let shards = self.codec.encode_blocks(&delta)?;
-                    self.entries.push(ByteEncodedEntry {
-                        payload: StoredPayload::Delta {
-                            to: id.0,
-                            sparsity: gamma,
-                        },
-                        shards,
-                    });
-                    let full = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                    self.latest_full = Some(ByteEncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        shards: full,
-                    });
-                }
+            ByteShards::from_flat(&delta_bytes, k)
+        });
+        let gamma = delta.as_ref().map(ByteShards::weight);
+        // Anchor checkpoints: after `spacing` consecutive deltas the next
+        // Basic/Optimized append stores the full version instead, bounding
+        // every forward walk to at most `spacing` delta applications. Only
+        // these policy-forced fulls count as checkpoints, not Optimized SEC's
+        // own `2γ ≥ k` fulls.
+        let spacing = self.config.checkpoints().spacing;
+        let checkpoint_due = spacing > 0 && self.delta_run >= spacing;
+        let (store_delta, checkpoint) = match strategy {
+            EncodingStrategy::NonDifferential => (false, false),
+            EncodingStrategy::ReversedSec => (true, false),
+            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
+                let threshold_full = strategy == EncodingStrategy::OptimizedSec
+                    && gamma.is_some_and(|g| self.config.io_model().optimized_stores_full(g));
+                (
+                    !threshold_full && !checkpoint_due,
+                    checkpoint_due && !threshold_full,
+                )
             }
-        }
+        };
 
+        let mut written = Vec::with_capacity(2);
+        if let (Some(delta), Some(sparsity), true) = (&delta, gamma, store_delta) {
+            written.push(ByteEncodedEntry {
+                payload: StoredPayload::Delta { to: id.0, sparsity },
+                shards: self.codec.encode_blocks(delta)?,
+            });
+        }
+        let stored_delta = !written.is_empty();
+        let reversed = strategy == EncodingStrategy::ReversedSec;
+        if !stored_delta || reversed {
+            written.push(ByteEncodedEntry {
+                payload: StoredPayload::FullVersion { version: id.0 },
+                shards: self.codec.encode_blocks(&ByteShards::from_flat(object, k))?,
+            });
+        }
+        // Reversed SEC's new delta takes the old full copy's slot.
+        let first_slot = self.layout.len() - usize::from(stored_delta && reversed);
+
+        self.delta_run = if stored_delta { self.delta_run + 1 } else { 0 };
+        self.checkpoints_written += usize::from(checkpoint);
+        self.sparsity.extend(gamma);
+        self.object_len = Some(object.len());
         self.latest_version = object.to_vec();
-        self.versions += 1;
+        self.layout.truncate(first_slot);
+        self.layout.extend(written.iter().map(|e| e.payload));
+        Ok((id, first_slot, written))
+    }
+}
+
+/// A delta-based versioned archive over byte objects, encoded with SEC
+/// through the batched byte-shard pipeline: a [`VersionChain`] plus the
+/// coded blocks of every stored entry, held in memory.
+///
+/// Every retrieval method takes `&self`: the codec is shared-read (its
+/// decode scratch is per-thread), so any number of readers can retrieve
+/// versions from one archive concurrently while appends keep the usual
+/// exclusive borrow.
+#[derive(Debug)]
+pub struct ByteVersionedArchive {
+    chain: VersionChain,
+    /// Every stored entry in walk order, parallel to the chain's layout.
+    entries: Vec<ByteEncodedEntry>,
+}
+
+impl ByteVersionedArchive {
+    /// Creates an empty byte archive over `GF(2^8)`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`VersionChain::new`].
+    pub fn new(config: ArchiveConfig) -> Result<Self, VersioningError> {
+        Ok(Self {
+            chain: VersionChain::new(config)?,
+            entries: Vec::new(),
+        })
+    }
+
+    /// Creates an empty byte archive that reuses an existing codec instead of
+    /// building one.
+    ///
+    /// # Errors
+    ///
+    /// As for [`VersionChain::with_codec`].
+    pub fn with_codec(config: ArchiveConfig, codec: ByteCodec) -> Result<Self, VersioningError> {
+        Ok(Self {
+            chain: VersionChain::with_codec(config, codec)?,
+            entries: Vec::new(),
+        })
+    }
+
+    /// The archive's chain: configuration, codec, length, layout and
+    /// sparsity profile.
+    pub fn chain(&self) -> &VersionChain {
+        &self.chain
+    }
+
+    /// Number of stored objects.
+    pub fn stored_entry_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Total number of stored coded bytes across all entries — the storage
+    /// footprint.
+    pub fn stored_bytes(&self) -> usize {
+        self.entries.iter().map(|e| e.shards.total_len()).sum()
+    }
+
+    /// Appends the next version, encoding it according to the configured
+    /// strategy, and returns its version id.
+    ///
+    /// # Errors
+    ///
+    /// As for [`VersionChain::append_version`].
+    pub fn append_version(&mut self, object: &[u8]) -> Result<VersionId, VersioningError> {
+        let (id, first_slot, written) = self.chain.append_version(object)?;
+        self.entries.truncate(first_slot);
+        self.entries.extend(written);
         Ok(id)
     }
 
@@ -354,11 +391,11 @@ impl ByteVersionedArchive {
     /// remain in the archive. An empty sequence on an empty archive yields
     /// [`VersioningError::EmptyArchive`].
     pub fn append_all<B: AsRef<[u8]>>(&mut self, versions: &[B]) -> Result<VersionId, VersioningError> {
-        let mut last = VersionId(self.versions.max(1));
+        let mut last = VersionId(self.chain.len().max(1));
         for version in versions {
             last = self.append_version(version.as_ref())?;
         }
-        if self.versions == 0 {
+        if self.chain.is_empty() {
             return Err(VersioningError::EmptyArchive);
         }
         Ok(last)
@@ -372,18 +409,18 @@ impl ByteVersionedArchive {
     /// Returns [`VersioningError::NoSuchVersion`] for an out-of-range `l`, or
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_version(&self, l: usize) -> Result<ByteVersionRetrieval, VersioningError> {
-        self.check_version(l)?;
-        let entries = self.stored_entries();
+        self.chain.check_version(l)?;
+        let entries = &self.entries;
         let out = walk_version(
-            self.config.strategy(),
+            self.chain.config.strategy(),
             entries.len(),
             |idx| entries[idx].payload,
             l,
-            |idx| decode_entry(&self.codec, entries[idx]),
+            |idx| decode_entry(&self.chain.codec, &entries[idx]),
         )?;
         Ok(ByteVersionRetrieval {
             version: l,
-            data: self.trim(&out.shards),
+            data: trim_object(&out.shards, self.chain.object_len.unwrap_or(0)),
             io_reads: out.io_reads,
             entries_read: out.entries_read,
         })
@@ -396,15 +433,15 @@ impl ByteVersionedArchive {
     /// Returns [`VersioningError::NoSuchVersion`] for an out-of-range `l`, or
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_prefix(&self, l: usize) -> Result<BytePrefixRetrieval, VersioningError> {
-        self.check_version(l)?;
-        let entries = self.stored_entries();
+        self.chain.check_version(l)?;
+        let entries = &self.entries;
         let out = walk_prefix(
-            self.config.strategy(),
+            self.chain.config.strategy(),
             entries.len(),
             |idx| entries[idx].payload,
             l,
-            self.object_len.unwrap_or(0),
-            |idx| decode_entry(&self.codec, entries[idx]),
+            self.chain.object_len.unwrap_or(0),
+            |idx| decode_entry(&self.chain.codec, &entries[idx]),
         )?;
         Ok(BytePrefixRetrieval {
             versions: out.versions,
@@ -415,34 +452,10 @@ impl ByteVersionedArchive {
 
     /// All stored entries in the walk order shared by every read layer
     /// ([`crate::walk`]): append-order entries, with the Reversed-SEC full
-    /// latest copy as the final element. `sec-store` and `sec-engine` build
-    /// their node layouts and read paths from this list, so the ordering
-    /// convention lives here, once.
+    /// latest copy as the final element — the order of
+    /// [`VersionChain::layout`].
     pub fn stored_entries(&self) -> Vec<&ByteEncodedEntry> {
-        let mut list: Vec<&ByteEncodedEntry> = self.entries.iter().collect();
-        if let Some(latest) = self.latest_full.as_ref() {
-            list.push(latest);
-        }
-        list
-    }
-
-    fn check_version(&self, l: usize) -> Result<(), VersioningError> {
-        if self.is_empty() {
-            return Err(VersioningError::EmptyArchive);
-        }
-        if l == 0 || l > self.len() {
-            return Err(VersioningError::NoSuchVersion {
-                requested: l,
-                available: self.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Copies decoded data shards out as a flat object, dropping the zero
-    /// padding (single copy, no intermediate clone of the padded buffer).
-    fn trim(&self, shards: &ByteShards) -> Vec<u8> {
-        crate::walk::trim_object(shards, self.object_len.unwrap_or(0))
+        self.entries.iter().collect()
     }
 }
 
@@ -478,22 +491,22 @@ mod tests {
         let config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let donor = ByteVersionedArchive::new(config).unwrap();
-        let shared = ByteVersionedArchive::with_codec(config, donor.codec().clone()).unwrap();
+        let shared = ByteVersionedArchive::with_codec(config, donor.chain().codec().clone()).unwrap();
         // One set of mul tables per code: both archives point at the same
         // allocations.
         assert!(std::sync::Arc::ptr_eq(
-            &donor.codec().shared_code(),
-            &shared.codec().shared_code()
+            &donor.chain().codec().shared_code(),
+            &shared.chain().codec().shared_code()
         ));
         assert!(std::sync::Arc::ptr_eq(
-            &donor.codec().shared_tables(),
-            &shared.codec().shared_tables()
+            &donor.chain().codec().shared_tables(),
+            &shared.chain().codec().shared_tables()
         ));
 
         // A codec for a different (n, k) is rejected, not silently adopted.
         let other =
             ArchiveConfig::new(4, 2, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
-        let other_codec = ByteVersionedArchive::new(other).unwrap().codec().clone();
+        let other_codec = ByteVersionedArchive::new(other).unwrap().chain().codec().clone();
         match ByteVersionedArchive::with_codec(config, other_codec) {
             Err(VersioningError::CodecMismatch { expected, actual }) => {
                 assert_eq!((expected.0, expected.1), (6, 3));
@@ -504,7 +517,7 @@ mod tests {
         // Same (n, k) but the wrong generator form is a mismatch too.
         let sys =
             ArchiveConfig::new(6, 3, GeneratorForm::Systematic, EncodingStrategy::BasicSec).unwrap();
-        let sys_codec = ByteVersionedArchive::new(sys).unwrap().codec().clone();
+        let sys_codec = ByteVersionedArchive::new(sys).unwrap().chain().codec().clone();
         assert!(matches!(
             ByteVersionedArchive::with_codec(config, sys_codec),
             Err(VersioningError::CodecMismatch { .. })
@@ -560,12 +573,12 @@ mod tests {
     #[test]
     fn basic_sec_stores_full_then_deltas() {
         let mut a = archive(EncodingStrategy::BasicSec);
-        assert!(a.is_empty());
+        assert!(a.chain().is_empty());
         a.append_all(&three_versions()).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.object_len(), Some(90));
-        assert_eq!(a.sparsity_profile(), &[1, 2]);
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        assert_eq!(a.chain().len(), 3);
+        assert_eq!(a.chain().object_len(), Some(90));
+        assert_eq!(a.chain().sparsity_profile(), &[1, 2]);
+        let payloads = a.chain().layout().to_vec();
         assert_eq!(
             payloads,
             vec![
@@ -574,17 +587,18 @@ mod tests {
                 StoredPayload::Delta { to: 3, sparsity: 2 },
             ]
         );
-        assert!(a.latest_full_entry().is_none());
+        assert_eq!(a.stored_entry_count(), 3);
         // L entries × n blocks × 30 bytes.
         assert_eq!(a.stored_bytes(), 3 * 6 * 30);
         // A delta entry encodes the delta, not the version.
         let versions = three_versions();
         let delta: Vec<u8> = versions[1].iter().zip(&versions[0]).map(|(b, a)| b ^ a).collect();
         let expected = a
+            .chain()
             .codec()
             .encode_blocks(&ByteShards::from_flat(&delta, 3))
             .unwrap();
-        assert_eq!(a.entries()[1].shards, expected);
+        assert_eq!(a.stored_entries()[1].shards, expected);
     }
 
     #[test]
@@ -610,7 +624,7 @@ mod tests {
     fn optimized_sec_stores_full_for_dense_deltas() {
         let mut a = archive(EncodingStrategy::OptimizedSec);
         a.append_all(&three_versions()).unwrap();
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        let payloads = a.chain().layout().to_vec();
         // γ3 = 2 ≥ k/2 = 1.5 → version 3 stored in full.
         assert_eq!(
             payloads,
@@ -627,11 +641,12 @@ mod tests {
         let mut a = archive(EncodingStrategy::NonDifferential);
         a.append_all(&three_versions()).unwrap();
         assert!(a
-            .entries()
+            .chain()
+            .layout()
             .iter()
-            .all(|e| matches!(e.payload, StoredPayload::FullVersion { .. })));
+            .all(|p| matches!(p, StoredPayload::FullVersion { .. })));
         // The sparsity profile is still tracked for reporting purposes.
-        assert_eq!(a.sparsity_profile(), &[1, 2]);
+        assert_eq!(a.chain().sparsity_profile(), &[1, 2]);
     }
 
     #[test]
@@ -639,9 +654,15 @@ mod tests {
         let mut a = archive(EncodingStrategy::ReversedSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        assert_eq!(a.entries().len(), 2);
-        let latest = a.latest_full_entry().unwrap();
-        assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
+        // Two deltas, then the full copy of the latest version last.
+        assert_eq!(
+            a.chain().layout(),
+            &[
+                StoredPayload::Delta { to: 2, sparsity: 1 },
+                StoredPayload::Delta { to: 3, sparsity: 2 },
+                StoredPayload::FullVersion { version: 3 },
+            ]
+        );
         // Latest version costs only the full copy.
         let r = a.retrieve_version(3).unwrap();
         assert_eq!(r.data, versions[2]);
@@ -654,8 +675,8 @@ mod tests {
         let mut a = archive(EncodingStrategy::BasicSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        let model = a.config().io_model();
-        let profile = a.sparsity_profile().to_vec();
+        let model = a.chain().config().io_model();
+        let profile = a.chain().sparsity_profile().to_vec();
         for l in 1..=versions.len() {
             let r = a.retrieve_version(l).unwrap();
             assert_eq!(
@@ -671,17 +692,17 @@ mod tests {
         // equal the model, which gives the paper's figures.
         for strategy in STRATEGIES {
             let a = paper_archive(strategy, GeneratorForm::NonSystematic);
-            assert_eq!(a.sparsity_profile(), &[3, 8, 3, 6]);
-            let model = a.config().io_model();
+            assert_eq!(a.chain().sparsity_profile(), &[3, 8, 3, 6]);
+            let model = a.chain().config().io_model();
             for l in 1..=5 {
                 assert_eq!(
                     a.retrieve_version(l).unwrap().io_reads,
-                    model.version_reads(strategy, a.sparsity_profile(), l),
+                    model.version_reads(strategy, a.chain().sparsity_profile(), l),
                     "{strategy} version {l}"
                 );
                 assert_eq!(
                     a.retrieve_prefix(l).unwrap().io_reads,
-                    model.prefix_reads(strategy, a.sparsity_profile(), l),
+                    model.prefix_reads(strategy, a.chain().sparsity_profile(), l),
                     "{strategy} prefix {l}"
                 );
             }
@@ -743,7 +764,7 @@ mod tests {
         let v = vec![9u8; 30];
         a.append_version(&v).unwrap();
         a.append_version(&v).unwrap();
-        assert_eq!(a.sparsity_profile(), &[0]);
+        assert_eq!(a.chain().sparsity_profile(), &[0]);
         let r = a.retrieve_version(2).unwrap();
         assert_eq!(r.data, v);
         assert_eq!(r.io_reads, 3);
@@ -822,11 +843,11 @@ mod tests {
             .map(|(idx, _)| idx)
             .collect();
         assert_eq!(fulls, vec![0, 3]);
-        assert_eq!(a.checkpoints_written(), 1);
+        assert_eq!(a.chain().checkpoints_written(), 1);
 
         // Bytes still round-trip, reads anchor on the checkpoint, and the
         // layout-aware io-model predicts each cost exactly.
-        let model = a.config().io_model();
+        let model = a.chain().config().io_model();
         let layout: Vec<StoredPayload> = a.stored_entries().iter().map(|e| e.payload).collect();
         for l in 1..=versions.len() {
             let r = a.retrieve_version(l).unwrap();
@@ -851,7 +872,7 @@ mod tests {
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let mut p = ByteVersionedArchive::new(plain).unwrap();
         p.append_all(&versions).unwrap();
-        assert_eq!(p.checkpoints_written(), 0);
+        assert_eq!(p.chain().checkpoints_written(), 0);
         assert_eq!(
             p.stored_entries()
                 .iter()
@@ -894,7 +915,7 @@ mod tests {
         assert!(matches!(payloads[4], StoredPayload::Delta { to: 5, sparsity: 1 }));
         assert!(matches!(payloads[5], StoredPayload::FullVersion { version: 6 }));
         // Only the v6 full came from the policy; the v3 full is the paper's rule.
-        assert_eq!(a.checkpoints_written(), 1);
+        assert_eq!(a.chain().checkpoints_written(), 1);
         assert_eq!(a.retrieve_version(6).unwrap().data, v6);
         assert_eq!(a.retrieve_version(6).unwrap().io_reads, 3);
     }

@@ -183,8 +183,8 @@ impl IoModel {
     /// deltas (Basic), or fulls exactly where `2γ ≥ k` (Optimized). A
     /// [`CheckpointPolicy`](crate::CheckpointPolicy) breaks that assumption
     /// by inserting extra fulls, so this variant walks the actual payload
-    /// list (in [`stored_entries`](crate::ByteVersionedArchive::stored_entries)
-    /// order, the Reversed-SEC latest copy last) and prices exactly the
+    /// list (the [`layout`](crate::VersionChain::layout) order, the
+    /// Reversed-SEC latest copy last) and prices exactly the
     /// entries the operational walk touches. On checkpoint-free layouts it
     /// reproduces [`IoModel::version_reads`].
     ///

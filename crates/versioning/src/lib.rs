@@ -19,6 +19,11 @@
 //! A delta's sparsity `γ` counts the blocks that changed, and every entry is
 //! decoded through the batched `GF(2^8)` pipeline of `sec-erasure`.
 //!
+//! The archive is a [`VersionChain`] plus blocks: the chain holds the append
+//! policy and the stored layout and keeps no coded block, so a serving layer
+//! (`sec-engine`) can run the same policy while its storage nodes hold the
+//! only copy of every block.
+//!
 //! The [`io_model`] module provides the closed-form I/O read counts of
 //! eqs. (3)–(4) without touching any data, which is what the paper's Fig. 9
 //! and the §III-D example report; the archive reproduces the same numbers
@@ -63,7 +68,7 @@ pub mod walk;
 
 pub use archive::{ArchiveConfig, CheckpointPolicy, EncodingStrategy, StoredPayload};
 pub use byte_archive::{
-    ByteEncodedEntry, BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive,
+    ByteEncodedEntry, BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive, VersionChain,
 };
 pub use cache::{CacheStats, DeltaCache};
 pub use error::VersioningError;

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use sec_erasure::GeneratorForm;
 
-use crate::archive::{ArchiveConfig, EncodingStrategy};
-use crate::byte_archive::ByteVersionedArchive;
+use crate::archive::{ArchiveConfig, CheckpointPolicy, EncodingStrategy, StoredPayload};
+use crate::byte_archive::{ByteEncodedEntry, ByteVersionedArchive, VersionChain};
 
 const N: usize = 12;
 const K: usize = 6;
@@ -71,10 +71,30 @@ proptest! {
 
     #[test]
     fn every_strategy_round_trips_random_histories(versions in history()) {
-        for strategy in all_strategies() {
+        let policies = [CheckpointPolicy::disabled(), CheckpointPolicy::every(2)];
+        for (strategy, policy) in all_strategies().into_iter().flat_map(|s| policies.map(|p| (s, p))) {
             for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
-                let archive = build(strategy, form, &versions);
-                prop_assert_eq!(archive.len(), versions.len());
+                let config = ArchiveConfig::new(N, K, form, strategy).unwrap().with_checkpoints(policy);
+                let mut archive = ByteVersionedArchive::new(config).unwrap();
+                // A bare chain fed the same versions, its entries stored the
+                // way `sec-engine` stores them: drop from `first_slot`, then
+                // write what the append returned.
+                let mut chain = VersionChain::new(config).unwrap();
+                let mut stored: Vec<ByteEncodedEntry> = Vec::new();
+                for version in &versions {
+                    archive.append_version(version).unwrap();
+                    let (_, first_slot, written) = chain.append_version(version).unwrap();
+                    stored.truncate(first_slot);
+                    stored.extend(written);
+                    let entries = archive.stored_entries();
+                    let payloads: Vec<StoredPayload> = entries.iter().map(|e| e.payload).collect();
+                    prop_assert_eq!(archive.chain().layout(), payloads.as_slice());
+                    for entry in &entries {
+                        prop_assert_eq!(entry.shards.shard_len(), archive.chain().shard_len());
+                    }
+                    prop_assert_eq!(entries, stored.iter().collect::<Vec<_>>());
+                }
+                prop_assert_eq!(archive.chain().len(), versions.len());
                 for (l, expect) in versions.iter().enumerate() {
                     let r = archive.retrieve_version(l + 1).unwrap();
                     prop_assert_eq!(&r.data, expect);
@@ -90,8 +110,8 @@ proptest! {
         let profile = sparsity_profile(&versions);
         for strategy in [EncodingStrategy::BasicSec, EncodingStrategy::OptimizedSec] {
             let archive = build(strategy, GeneratorForm::NonSystematic, &versions);
-            prop_assert_eq!(archive.sparsity_profile(), profile.as_slice());
-            let model = archive.config().io_model();
+            prop_assert_eq!(archive.chain().sparsity_profile(), profile.as_slice());
+            let model = archive.chain().config().io_model();
             for l in 1..=versions.len() {
                 let measured = archive.retrieve_version(l).unwrap().io_reads;
                 let predicted = model.version_reads(strategy, &profile, l);
@@ -111,7 +131,7 @@ proptest! {
         let mut profiles = Vec::new();
         for strategy in all_strategies() {
             let archive = build(strategy, GeneratorForm::NonSystematic, &versions);
-            profiles.push(archive.sparsity_profile().to_vec());
+            profiles.push(archive.chain().sparsity_profile().to_vec());
         }
         for pair in profiles.windows(2) {
             prop_assert_eq!(&pair[0], &pair[1]);

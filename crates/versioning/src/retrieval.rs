@@ -60,20 +60,20 @@ mod tests {
     #[test]
     fn io_reads_match_io_model_for_basic_sec() {
         let (archive, versions) = build(EncodingStrategy::BasicSec, GeneratorForm::NonSystematic);
-        let model = archive.config().io_model();
-        assert_eq!(archive.sparsity_profile(), &[3, 8, 3, 6]);
+        let model = archive.chain().config().io_model();
+        assert_eq!(archive.chain().sparsity_profile(), &[3, 8, 3, 6]);
         let expect_version = [10, 16, 26, 32, 42];
         for l in 1..=versions.len() {
             let r = archive.retrieve_version(l).unwrap();
             assert_eq!(r.io_reads, expect_version[l - 1], "version {l}");
             assert_eq!(
                 r.io_reads,
-                model.version_reads(EncodingStrategy::BasicSec, archive.sparsity_profile(), l)
+                model.version_reads(EncodingStrategy::BasicSec, archive.chain().sparsity_profile(), l)
             );
             let p = archive.retrieve_prefix(l).unwrap();
             assert_eq!(
                 p.io_reads,
-                model.prefix_reads(EncodingStrategy::BasicSec, archive.sparsity_profile(), l)
+                model.prefix_reads(EncodingStrategy::BasicSec, archive.chain().sparsity_profile(), l)
             );
         }
         // Total for all 5 versions: 42 (vs 50 non-differential).
@@ -83,14 +83,18 @@ mod tests {
     #[test]
     fn io_reads_match_io_model_for_optimized_sec() {
         let (archive, versions) = build(EncodingStrategy::OptimizedSec, GeneratorForm::NonSystematic);
-        let model = archive.config().io_model();
+        let model = archive.chain().config().io_model();
         let expect_version = [10, 16, 10, 16, 10];
         for l in 1..=versions.len() {
             let r = archive.retrieve_version(l).unwrap();
             assert_eq!(r.io_reads, expect_version[l - 1], "version {l}");
             assert_eq!(
                 r.io_reads,
-                model.version_reads(EncodingStrategy::OptimizedSec, archive.sparsity_profile(), l)
+                model.version_reads(
+                    EncodingStrategy::OptimizedSec,
+                    archive.chain().sparsity_profile(),
+                    l
+                )
             );
         }
         assert_eq!(archive.retrieve_prefix(5).unwrap().io_reads, 42);
@@ -99,12 +103,12 @@ mod tests {
     #[test]
     fn io_reads_match_io_model_for_reversed_and_non_differential() {
         let (rev, versions) = build(EncodingStrategy::ReversedSec, GeneratorForm::NonSystematic);
-        let model = rev.config().io_model();
+        let model = rev.chain().config().io_model();
         for l in 1..=versions.len() {
             let r = rev.retrieve_version(l).unwrap();
             assert_eq!(
                 r.io_reads,
-                model.version_reads(EncodingStrategy::ReversedSec, rev.sparsity_profile(), l),
+                model.version_reads(EncodingStrategy::ReversedSec, rev.chain().sparsity_profile(), l),
                 "reversed version {l}"
             );
         }

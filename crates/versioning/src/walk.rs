@@ -15,8 +15,7 @@
 //!
 //! * `payload_at(i)` describes stored entry `i` of `stored_count` entries in
 //!   entry order, with the Reversed-SEC full latest copy as the **final**
-//!   element (the order [`ByteVersionedArchive::stored_entries`]
-//!   (crate::ByteVersionedArchive::stored_entries) produces);
+//!   element (the order of [`VersionChain::layout`](crate::VersionChain::layout));
 //! * the read callback receives the entry index and returns
 //!   `(block_reads, decoded_data_shards)`; the `γ = 0` shortcut (an empty
 //!   delta needs no reads) is provided by [`read_target`] returning `None`;

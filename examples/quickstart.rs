@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     archive.append_all(&[v1.clone(), v2.clone(), v3.clone()])?;
     println!(
         "archived {} versions, sparsity profile {:?}",
-        archive.len(),
-        archive.sparsity_profile()
+        archive.chain().len(),
+        archive.chain().sparsity_profile()
     );
 
     // Retrieve each version and the whole history.
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let all = archive.retrieve_prefix(3)?;
     assert_eq!(all.versions, vec![v1, v2, v3]);
 
-    let baseline = 3 * archive.code().k();
+    let baseline = 3 * archive.chain().config().params().k;
     println!(
         "whole archive: {} I/O reads with SEC vs {} non-differential ({:.1}% fewer)",
         all.io_reads,

@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut archive = ByteVersionedArchive::new(config)?;
         archive.append_all(&versions)?;
 
-        let whole = archive.retrieve_prefix(archive.len())?;
-        let latest = archive.retrieve_version(archive.len())?;
+        let whole = archive.retrieve_prefix(archive.chain().len())?;
+        let latest = archive.retrieve_version(archive.chain().len())?;
         println!(
             "{strategy:<18} whole-history reads = {:>4}   latest-version reads = {:>3}",
             whole.io_reads, latest.io_reads
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "NOT "
         }
     );
-    let recovered = store.retrieve_version(&archive, archive.len())?;
+    let recovered = store.retrieve_version(&archive, archive.chain().len())?;
     assert_eq!(&recovered.data, versions.last().expect("non-empty trace"));
     println!(
         "latest revision recovered from the degraded cluster with {} reads ({})",

@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         archive.append_version(&bytes)?;
     }
 
-    let measured = archive.retrieve_prefix(archive.len())?.io_reads;
-    let baseline = archive.len() * k;
+    let measured = archive.retrieve_prefix(archive.chain().len())?.io_reads;
+    let baseline = archive.chain().len() * k;
     println!(
         "\n60-revision trace: measured {measured} reads for the full history vs {baseline} baseline \
          ({:.1}% fewer); empirical sparsity PMF: {}",

@@ -78,15 +78,16 @@ fn measured_io_matches_model_on_pmf_driven_trace() {
     archive
         .append_all(&byte_versions(&trace))
         .expect("append succeeds");
-    assert_eq!(archive.sparsity_profile(), trace.sparsity.as_slice());
+    assert_eq!(archive.chain().sparsity_profile(), trace.sparsity.as_slice());
 
-    let model = archive.config().io_model();
+    let model = archive.chain().config().io_model();
     let measured = archive
-        .retrieve_prefix(archive.len())
+        .retrieve_prefix(archive.chain().len())
         .expect("retrieval succeeds");
-    let predicted = model.prefix_reads(EncodingStrategy::BasicSec, &trace.sparsity, archive.len());
+    let predicted =
+        model.prefix_reads(EncodingStrategy::BasicSec, &trace.sparsity, archive.chain().len());
     assert_eq!(measured.io_reads, predicted);
-    assert!(measured.io_reads <= archive.len() * 10);
+    assert!(measured.io_reads <= archive.chain().len() * 10);
 }
 
 /// The paper's §IV-C example end to end: the 3 KB object as three 1 KiB

@@ -37,9 +37,9 @@ fn facade_types_interoperate_end_to_end() {
     archive.append_all(&[v1.clone(), v2.clone()]).expect("append");
     let prefix: BytePrefixRetrieval = archive.retrieve_prefix(2).expect("prefix");
     assert_eq!(prefix.io_reads, 5); // k + 2γ = 3 + 2
-    let model: IoModel = archive.config().io_model();
+    let model: IoModel = archive.chain().config().io_model();
     assert_eq!(
-        model.prefix_reads(EncodingStrategy::BasicSec, archive.sparsity_profile(), 2),
+        model.prefix_reads(EncodingStrategy::BasicSec, archive.chain().sparsity_profile(), 2),
         prefix.io_reads
     );
 

@@ -47,9 +47,8 @@ fn versions() -> Vec<Vec<u8>> {
 /// Stored entries touched by retrieving version `l`, with their payloads, in
 /// the order the store reads them.
 fn touched_entries(archive: &ByteVersionedArchive, l: usize) -> Vec<(usize, StoredPayload)> {
-    let mut entries: Vec<StoredPayload> = archive.entries().iter().map(|e| e.payload).collect();
-    let latest = archive.latest_full_entry().map(|e| e.payload);
-    match archive.config().strategy() {
+    let entries = archive.chain().layout();
+    match archive.chain().config().strategy() {
         EncodingStrategy::NonDifferential => vec![(l - 1, entries[l - 1])],
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
             let anchor = entries[..l]
@@ -60,8 +59,7 @@ fn touched_entries(archive: &ByteVersionedArchive, l: usize) -> Vec<(usize, Stor
         }
         EncodingStrategy::ReversedSec => {
             // The latest full copy is stored after the delta entries.
-            let latest_idx = entries.len();
-            entries.push(latest.expect("reversed archives keep a latest full copy"));
+            let latest_idx = entries.len() - 1;
             let mut touched = vec![(latest_idx, entries[latest_idx])];
             for idx in (l.saturating_sub(1)..latest_idx).rev() {
                 touched.push((idx, entries[idx]));
@@ -86,7 +84,7 @@ fn predicted_entry_reads(
             ReadTarget::Sparse { gamma: sparsity }
         }
     };
-    plan_read(archive.code(), live, target)
+    plan_read(archive.chain().codec().code(), live, target)
         .expect("≤ n−k failures always leave a feasible plan")
         .io_reads
 }
@@ -102,7 +100,11 @@ fn every_version_survives_every_tolerable_failure_pattern() {
         let mut archive = ByteVersionedArchive::new(config).unwrap();
         let vs = versions();
         archive.append_all(&vs).unwrap();
-        assert_eq!(archive.sparsity_profile(), &[1, 0, 2, 1, 3, 1, 2], "{strategy}");
+        assert_eq!(
+            archive.chain().sparsity_profile(),
+            &[1, 0, 2, 1, 3, 1, 2],
+            "{strategy}"
+        );
 
         let mut checked_patterns = 0usize;
         for pattern in enumerate_patterns(N) {
